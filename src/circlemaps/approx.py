@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, as_disk, _as_complex
+from .disk import TWO_PI, as_disk, disk_array
 from .blaschke import (
     BlaschkeProduct,
     BlaschkeQuotient,
@@ -62,7 +62,8 @@ class PeriodicC1Function:
 
     Both callables are vectorized over angle arrays. When built from samples
     the function is carried as a trigonometric series, which gives exact
-    power-of-two resampling and spectral differentiation.
+    power-of-two resampling and spectral differentiation; the callables then
+    evaluate the series at off-grid angles.
     """
 
     value: Callable
@@ -88,12 +89,12 @@ class PeriodicC1Function:
         return TrigSeries.from_samples(self.value(grid_theta(grid)))
 
     def values_on_grid(self, g: int) -> np.ndarray:
-        if self.series is not None and g >= self.series.m:
+        if self.series is not None:
             return self.series.resample(g)
         return np.asarray(self.value(grid_theta(g)), dtype=float)
 
     def derivative_on_grid(self, g: int) -> np.ndarray:
-        if self.series is not None and g >= self.series.m:
+        if self.series is not None:
             return self.series.derivative().resample(g)
         return np.asarray(self.derivative(grid_theta(g)), dtype=float)
 
@@ -139,8 +140,8 @@ class PoissonCombination:
     @classmethod
     def make(cls, positives=(), negatives=(), constant: int = 0) -> "PoissonCombination":
         return cls(
-            tuple(as_disk(z) for z in positives),
-            tuple(as_disk(w) for w in negatives),
+            tuple(disk_array(positives).tolist()),
+            tuple(disk_array(negatives).tolist()),
             int(constant),
         )
 
@@ -261,7 +262,7 @@ def ring_defect(w0, rotations, g: int = 0) -> float:
     The defect oscillates at the ring frequency, so the default grid scales
     with the ring size to resolve the peaks.
     """
-    pts = np.concatenate([[_as_complex(w0)], np.asarray(rotations, dtype=complex)])
+    pts = np.asarray([w0, *rotations], dtype=complex)
     if g == 0:
         g = max(8192, _next_pow2(4 * len(pts)))
     vals = poisson_sum_signed_grid(pts, (), g) - len(pts)
@@ -275,8 +276,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
     the number of positive kernels, log dict). Built from the pair
     approximation at budget eps/2; its negative kernels form a uniform ring,
     which is replaced collectively by its count (the ring's own split
-    identity) with the remaining eps/2 verified on the grid. Non-ring
-    negatives would be split one by one at budget eps/(2n) each.
+    identity) with the remaining eps/2 verified on the grid.
     """
     min_n = 64
     while True:
@@ -284,19 +284,9 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
         if not comb.positives and not comb.negatives:
             return comb, log
         n_neg = len(comb.negatives)
-        neg = np.asarray(comb.negatives, dtype=complex)
-        phases = np.sort(np.angle(neg) % TWO_PI)
-        uniform = (
-            np.allclose(np.abs(neg), np.abs(neg[0]), rtol=0, atol=1e-13)
-            and sup_norm(np.diff(phases) - TWO_PI / n_neg) < 1e-9
-        )
-        if not uniform:
-            break
         g_d = max(8192, _next_pow2(4 * n_neg))
-        defect = sup_norm(poisson_sum_signed_grid(neg, (), g_d) - n_neg)
+        defect = sup_norm(poisson_sum_signed_grid(comb.negatives, (), g_d) - n_neg)
         if defect < eps / 2.0:
-            out = PoissonCombination.make(comb.positives, (), n_neg)
-            log = dict(log, ring_defect=defect, constant=n_neg)
             break
         # the pair budget allows a ring too sparse to stand alone as the
         # constant n; rebuild with a bigger ring (the defect decays like
@@ -306,20 +296,12 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
                 f"negative ring defect {defect:.3e} exceeds eps/2 at the ring cap"
             )
         min_n = 2 * n_neg
-    if not uniform:
-        positives = list(comb.positives)
-        constant = 0
-        for wk in comb.negatives:
-            nk, rotations = kernel_ring_split(wk, eps / (2.0 * n_neg))
-            positives.extend(rotations)
-            constant += nk
-        out = PoissonCombination.make(positives, (), constant)
-        log = dict(log, constant=constant)
+    out = PoissonCombination.make(comb.positives, (), n_neg)
     g_v = _verify_grid_size(log.get("verify_grid", MIN_VERIFY_GRID) // 4 or 1024)
     err = sup_norm(out.evaluate_grid(g_v) - _to_series(h, grid).resample(g_v))
     if err >= eps:
         raise ApproximationBudgetError(f"verified error {err:.3e} >= eps = {eps:.3e}")
-    log = dict(log, error=err, eps=eps)
+    log = dict(log, ring_defect=defect, constant=n_neg, error=err, eps=eps)
     return out, log
 
 
@@ -413,19 +395,19 @@ def approximate_c1(u, eps: float, grid: int = 4096) -> C1ApproxResult:
 class CircleLift:
     """An increasing lift F with F(theta + 2 pi) = F(theta) + 2 pi.
 
-    Stored through its periodic part psi = F - theta; psi may be an arbitrary
-    vectorized callable or a trigonometric series (smooth case).
+    Stored through its periodic part psi = F - theta, a PeriodicC1Function:
+    a trigonometric series in the smooth case (mollified lifts, quotients),
+    else a vectorized callable (piecewise-linear, sampled or callable input).
+    On uniform grids psi is read through psi_grid, which resamples a series
+    exactly by FFT; value evaluates F at arbitrary angles.
     """
 
-    def __init__(self, psi: Callable, dpsi: Optional[Callable] = None,
-                 series: Optional[TrigSeries] = None):
+    def __init__(self, psi: PeriodicC1Function):
         self.psi = psi
-        self.dpsi = dpsi
-        self.series = series
 
     @classmethod
     def from_series(cls, series: TrigSeries) -> "CircleLift":
-        return cls(series.eval, series.derivative().eval, series)
+        return cls(PeriodicC1Function.from_series(series))
 
     @classmethod
     def from_breakpoints(cls, breakpoints: Sequence) -> "CircleLift":
@@ -447,7 +429,7 @@ class CircleLift:
             tm = (theta - ts[0]) % TWO_PI + ts[0]
             return np.interp(tm, ts, vs) - tm
 
-        return cls(psi)
+        return cls(PeriodicC1Function.from_callable(psi))
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "CircleLift":
@@ -467,7 +449,7 @@ class CircleLift:
             t = np.asarray(t, dtype=float) % TWO_PI
             return np.interp(t, theta, F) - t
 
-        return cls(psi)
+        return cls(PeriodicC1Function.from_callable(psi))
 
     @classmethod
     def from_quotient(cls, Q: BlaschkeQuotient, grid: int = 8192) -> "CircleLift":
@@ -478,16 +460,15 @@ class CircleLift:
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return theta + self.psi(theta)
+        return theta + self.psi.value(theta)
 
     def psi_grid(self, g: int) -> np.ndarray:
-        if self.series is not None and g >= self.series.m:
-            return self.series.resample(g)
-        return np.asarray(self.psi(grid_theta(g)), dtype=float)
+        return self.psi.values_on_grid(g)
 
     def min_slope(self, g: int = 2**14) -> float:
-        F = self.value(np.linspace(0.0, TWO_PI, g + 1))
-        return float(np.min(np.diff(F))) * g / TWO_PI
+        """Smallest slope of the secants of F over the closed grid of size g."""
+        psi = self.psi_grid(g)
+        return 1.0 + float(np.min(np.roll(psi, -1) - psi)) * g / TWO_PI
 
 
 def _bump_weights(eta: float, m: int) -> np.ndarray:
@@ -539,7 +520,7 @@ def as_circle_lift(f) -> CircleLift:
         def psi(theta, _f=f):
             theta = np.asarray(theta, dtype=float)
             return np.asarray(_f(theta), dtype=float) - theta
-        return CircleLift(psi)
+        return CircleLift(PeriodicC1Function.from_callable(psi))
     raise TypeError("cannot interpret input as a circle homeomorphism")
 
 
@@ -581,7 +562,7 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
                 f"and slope margin {margin:.3e}; input too wild for eps = {eps:.3e}"
             )
 
-    psi_s = smooth.series
+    psi_s = smooth.psi.series
     u_series = psi_s if direction == "below" else TrigSeries(-psi_s.coef)
     u = PeriodicC1Function.from_series(u_series)
     hs = u_series.derivative()

@@ -6,12 +6,17 @@ the derivative of its argument is the sum of Poisson kernels at the zeros,
 which makes quotients of two products the natural carrier for circle
 homeomorphism checks.
 
-Two evaluation paths are provided for circle grids: a direct factor-by-factor
-product (exact, O(n*g)) and a power-sum path that expands log-factors into the
-series theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m. The
-series is a trigonometric polynomial up to a tail that is bounded in closed
-form, so it scales to quotients with tens of thousands of zeros near the
-boundary, where the direct product over a fine grid would be too slow.
+Zeros are held as a read-only complex array, validated once when a product
+is made. On the uniform circle grid of size g, the argument derivative and
+the values each have two evaluation paths: direct sums of Poisson kernels or
+factors, O(n*g), and a power-sum path that expands the log-factors into the
+series theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m,
+evaluated by one FFT. The series is a trigonometric polynomial up to a tail
+bounded in closed form, so it scales to quotients with tens of thousands of
+zeros near the boundary. One function, _kernel_sum_order, chooses the path
+from n, g and the series order. The continuous argument always takes the
+series when its order is affordable, since that gives a continuous branch
+without unwrapping; otherwise it unwraps the phases of the direct values.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, CirclePoint, as_disk, _as_complex, poisson_kernel, poisson_sum_grid
+from .disk import TWO_PI, _as_complex, disk_array, poisson_sum_grid
 
 COMMON_ZERO_TOL = 1e-12
 GRID_CAP = 2**20
@@ -38,31 +43,27 @@ class WindingInconsistencyError(RuntimeError):
     """Integrated argument derivative is not near a multiple of 2*pi."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlaschkeProduct:
-    zeros: tuple
+    zeros: np.ndarray  # read-only complex array, |z_k| < 1 - 1e-12
     sigma: complex
 
     @classmethod
     def make(cls, zeros=(), sigma=1.0) -> "BlaschkeProduct":
-        zs = tuple(as_disk(z) for z in zeros)
         s = _as_complex(sigma)
-        if abs(s) == 0:
-            raise ValueError("sigma must be unimodular")
-        return cls(zs, s / abs(s))
+        if not 0.0 < abs(s) < math.inf:
+            raise ValueError(f"sigma must be a finite nonzero number, got {s}")
+        return cls(disk_array(zeros), s / abs(s))
 
     @property
     def degree(self) -> int:
         return len(self.zeros)
 
-    def zeros_array(self) -> np.ndarray:
-        return np.asarray(self.zeros, dtype=complex)
-
     def __call__(self, z) -> complex:
         return evaluate(self, z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlaschkeQuotient:
     numerator: BlaschkeProduct
     denominator: BlaschkeProduct
@@ -76,8 +77,8 @@ class BlaschkeQuotient:
         return q
 
     def _check_no_common_zero(self):
-        zn = np.unique(self.numerator.zeros_array())
-        zd = np.unique(self.denominator.zeros_array())
+        zn = np.unique(self.numerator.zeros)
+        zd = np.unique(self.denominator.zeros)
         if len(zn) == 0 or len(zd) == 0:
             return
         # pseudo-hyperbolic distance below 1e-12 forces |z - w| < 2e-12, so a
@@ -113,24 +114,23 @@ def identity_quotient(sigma=1.0) -> BlaschkeQuotient:
 def evaluate(B: BlaschkeProduct, z) -> complex:
     """Evaluate factor by factor (no polynomial expansion)."""
     z = _as_complex(z)
-    out = complex(B.sigma)
-    for zk in B.zeros:
-        out *= (z - zk) / (1.0 - zk.conjugate() * z)
-    return out
+    zs = B.zeros
+    return complex(B.sigma * np.prod((z - zs) / (1.0 - np.conj(zs) * z)))
 
 
 def log_derivative_on_circle(B: BlaschkeProduct, zeta) -> complex:
     """zeta * B'(zeta)/B(zeta) by direct differentiation of the product."""
     z = _as_complex(zeta)
-    s = 0j
-    for zk in B.zeros:
-        s += 1.0 / (z - zk) + zk.conjugate() / (1.0 - zk.conjugate() * z)
-    return z * s
+    zc = np.conj(B.zeros)
+    return complex(z * np.sum(1.0 / (z - B.zeros) + zc / (1.0 - zc * z)))
 
 
 def arg_derivative(B: BlaschkeProduct, zeta) -> float:
     """Derivative of arg B(e^{i theta}) at zeta: the Poisson-kernel sum over zeros."""
-    return sum(poisson_kernel(zk, zeta) for zk in B.zeros)
+    zs = B.zeros
+    d = _as_complex(zeta) - zs
+    return float(np.sum((1.0 - (zs.real * zs.real + zs.imag * zs.imag))
+                        / (d.real * d.real + d.imag * d.imag)))
 
 
 def quotient_arg_derivative(Q: BlaschkeQuotient, zeta) -> float:
@@ -170,7 +170,7 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     paths ask for the same large point sets repeatedly.
     """
     global _POWER_CACHE
-    pts = np.ascontiguousarray(np.asarray(list(points), dtype=complex))
+    pts = np.ascontiguousarray(points, dtype=complex)
     if len(pts) * M < 1_000_000:
         return _power_sums_raw(pts, M)
     if _POWER_CACHE is None:
@@ -208,83 +208,57 @@ def _moment_cost_ok(points_n: int, M: int) -> bool:
     return points_n * M <= 2_000_000_000 and M <= 2**22
 
 
-def _fft_eval(coeffs: np.ndarray, g: int) -> np.ndarray:
-    """Evaluate sum_{m=1..M} coeffs[m-1] e^{-i m theta_j} on the grid of size g.
+def _kernel_sum_order(points: np.ndarray, g: int, tol: float = _SERIES_TAIL_TOL) -> int:
+    """Evaluation path for sums over points on the grid of size g.
 
-    Coefficients are placed at FFT indices 1..M, so g must exceed M to avoid
-    folding; the FFT kernel supplies the e^{-i m theta_j} factors.
+    Returns 0 for direct sums, else the series order M of the power-sum path.
+    Direct sums cost n*g and are taken up to 5e7 of it, and also whenever the
+    series would be too long (points too close to the circle).
+    """
+    if len(points) * g <= 50_000_000:
+        return 0
+    M = _series_order(points, tol)
+    return M if _moment_cost_ok(len(points), M) else 0
+
+
+def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
+    """sum_{m=1..M} coeffs[m-1] e^{-i m theta_j} on the uniform grid of size g.
+
+    One FFT places the coefficients at indices 1..M of a grid g * 2^k > M + 1,
+    so no frequency folds, and keeps every 2^k-th value.
     """
     M = len(coeffs)
-    if M + 1 > g:
-        raise ValueError("fft grid smaller than series order")
-    c = np.zeros(g, dtype=complex)
-    c[1 : M + 1] = coeffs
-    return np.fft.fft(c)
-
-
-def _grid_pair(g: int, M: int):
-    """Choose an FFT size > M that g divides, and the subsampling stride."""
     ge = g
     while ge < M + 2:
         ge *= 2
-    return ge, ge // g
+    c = np.zeros(ge, dtype=complex)
+    c[1 : M + 1] = coeffs
+    return np.fft.fft(c)[:: ge // g]
 
 
-def poisson_sum_grid_fast(points, g: int, tol: float = _SERIES_TAIL_TOL) -> np.ndarray:
-    """sum_k P(z_k, .) on the uniform grid, via moments when cheaper."""
-    pts = np.asarray([_as_complex(p) for p in points], dtype=complex)
-    n = len(pts)
-    if n == 0:
-        return np.zeros(g)
-    M = _series_order(pts, tol)
-    direct_cost = n * g
-    if direct_cost <= 50_000_000 or not _moment_cost_ok(n, M):
-        return poisson_sum_grid(pts, g)
-    T = power_sums(pts, M)
-    ge, stride = _grid_pair(g, M)
-    vals = _fft_eval(T[1:], ge)[::stride]
-    return n + 2.0 * vals.real
+def _signed_power_sums(pos: np.ndarray, neg: np.ndarray, M: int) -> np.ndarray:
+    """S_m = sum z_k^m - sum w_k^m for m = 1..M."""
+    return power_sums(pos, M)[1:] - power_sums(neg, M)[1:]
 
 
 def poisson_sum_signed_grid(pos, neg, g: int, tol: float = _SERIES_TAIL_TOL) -> np.ndarray:
     """sum_k P(z_k, .) - sum_k P(w_k, .) on the grid, one moment pass for both."""
-    zp = np.asarray([_as_complex(p) for p in pos], dtype=complex)
-    zn = np.asarray([_as_complex(p) for p in neg], dtype=complex)
-    n_tot = len(zp) + len(zn)
-    if n_tot == 0:
-        return np.zeros(g)
-    allpts = np.concatenate([zp, zn])
-    M = _series_order(allpts, tol)
-    if n_tot * g <= 50_000_000 or not _moment_cost_ok(n_tot, M):
-        out = np.zeros(g)
-        if len(zp):
-            out += poisson_sum_grid(zp, g)
-        if len(zn):
-            out -= poisson_sum_grid(zn, g)
-        return out
-    S = power_sums(zp, M)[1:] - power_sums(zn, M)[1:]
-    ge, stride = _grid_pair(g, M)
-    vals = _fft_eval(S, ge)[::stride]
-    return (len(zp) - len(zn)) + 2.0 * vals.real
+    zp = np.asarray(pos, dtype=complex)
+    zn = np.asarray(neg, dtype=complex)
+    M = _kernel_sum_order(np.concatenate([zp, zn]), g, tol)
+    if M:
+        return (len(zp) - len(zn)) + 2.0 * _series_on_grid(_signed_power_sums(zp, zn, M), g).real
+    out = np.zeros(g)
+    if len(zp):
+        out += poisson_sum_grid(zp, g)
+    if len(zn):
+        out -= poisson_sum_grid(zn, g)
+    return out
 
 
 def quotient_derivative_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Argument derivative of the quotient on the uniform grid of size g."""
-    return poisson_sum_signed_grid(Q.numerator.zeros_array(), Q.denominator.zeros_array(), g)
-
-
-def _arg_series_grid(zeros: np.ndarray, g: int, tol: float = _SERIES_TAIL_TOL) -> np.ndarray:
-    """Continuous branch of sum_k arg-factor on the grid, minus the n*theta term."""
-    if len(zeros) == 0:
-        return np.zeros(g)
-    M = _series_order(zeros, tol)
-    if not _moment_cost_ok(len(zeros), M):
-        raise RuntimeError("zeros too close to the circle for the series path")
-    T = power_sums(zeros, M)
-    m = np.arange(1, M + 1)
-    ge, stride = _grid_pair(g, M)
-    vals = _fft_eval(T[1:] / m, ge)[::stride]
-    return -2.0 * vals.imag
+    return poisson_sum_signed_grid(Q.numerator.zeros, Q.denominator.zeros, g)
 
 
 def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
@@ -294,16 +268,16 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     of Q(1). Uses the log-series (always a continuous branch); falls back to
     phase unwrapping if zeros sit too close to the circle for the series.
     """
-    zn = Q.numerator.zeros_array()
-    zd = Q.denominator.zeros_array()
+    zn, zd = Q.numerator.zeros, Q.denominator.zeros
+    allpts = np.concatenate([zn, zd])
+    M = _series_order(allpts, _SERIES_TAIL_TOL)
+    if not _moment_cost_ok(len(allpts), M):
+        vals = np.unwrap(np.angle(quotient_values_grid(Q, g)))
+        return vals - vals[0] + np.angle(Q(1.0))
     theta = np.arange(g) * (TWO_PI / g)
     sigma_arg = cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
-    try:
-        core = _arg_series_grid(zn, g) - _arg_series_grid(zd, g)
-    except RuntimeError:
-        phases = np.angle(quotient_values_grid(Q, g))
-        vals = np.unwrap(phases)
-        return vals - vals[0] + np.angle(Q(1.0))
+    m = np.arange(1, M + 1)
+    core = -2.0 * _series_on_grid(_signed_power_sums(zn, zd, M) / m, g).imag
     vals = sigma_arg + Q.degree_difference * theta + core
     # reduce the anchor to the principal branch at theta = 0
     shift = vals[0] - math.remainder(vals[0], TWO_PI)
@@ -315,13 +289,9 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
 
 def quotient_values_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Samples Q(e^{2 pi i j / g}); unimodular up to rounding."""
-    zn, zd = Q.numerator.zeros_array(), Q.denominator.zeros_array()
-    n_ops = (len(zn) + len(zd)) * g
-    if n_ops > 50_000_000:
-        try:
-            return np.exp(1j * quotient_arg_grid(Q, g))
-        except RuntimeError:
-            pass
+    zn, zd = Q.numerator.zeros, Q.denominator.zeros
+    if _kernel_sum_order(np.concatenate([zn, zd]), g):
+        return np.exp(1j * quotient_arg_grid(Q, g))
     zeta = np.exp(1j * np.arange(g) * (TWO_PI / g))
     out = np.full(g, complex(Q.numerator.sigma / Q.denominator.sigma), dtype=complex)
     for zk in zn:
@@ -338,7 +308,7 @@ def derivative_lipschitz_pointwise(Q: BlaschkeQuotient) -> float:
     |d/dtheta |zeta-z|^2| <= 2r and |zeta-z| >= 1-r. Coarse but rigorous.
     """
     out = 0.0
-    for zs in (Q.numerator.zeros_array(), Q.denominator.zeros_array()):
+    for zs in (Q.numerator.zeros, Q.denominator.zeros):
         if len(zs):
             r = np.abs(zs)
             out += float(np.sum(2.0 * r * (1.0 + r) / (1.0 - r) ** 3))
@@ -353,8 +323,8 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient, tol: float = 1e-9):
     (bound, M). Falls back to the per-point bound (returning M = 0) when the
     series would be too long to be worth it.
     """
-    zn, zd = Q.numerator.zeros_array(), Q.denominator.zeros_array()
-    allpts = np.concatenate([zn, zd]) if len(zn) or len(zd) else np.zeros(0, complex)
+    zn, zd = Q.numerator.zeros, Q.denominator.zeros
+    allpts = np.concatenate([zn, zd])
     if len(allpts) == 0:
         return 0.0, 1
     M = _series_order(allpts, tol)
@@ -362,7 +332,7 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient, tol: float = 1e-9):
     M = int(M * 1.2) + 8
     if not _moment_cost_ok(len(allpts), M):
         return derivative_lipschitz_pointwise(Q), 0
-    S = power_sums(zn, M)[1:] - power_sums(zd, M)[1:]
+    S = _signed_power_sums(zn, zd, M)
     m = np.arange(1, M + 1)
     bound = 2.0 * float(np.sum(m * np.abs(S)))
     # tail: 2 * sum_k sum_{m>M} m r^m = 2 * sum_k r^{M+1}((M+1) - M r)/(1-r)^2

@@ -20,13 +20,13 @@ HomeomorphismBoundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, as_disk, _as_complex, pseudo_hyperbolic
+from .disk import TWO_PI, as_disk, pseudo_hyperbolic
 from .blaschke import (
     GRID_CAP,
     BlaschkeQuotient,
@@ -290,7 +290,13 @@ def embedding_check_sampled(mp) -> EmbeddingCheck:
     come from a uniform spatial hash (cell size = longest segment), so the
     test stays near-linear for the 2^16-point gallery curves.
     """
-    P = np.column_stack([np.asarray(mp.values).real, np.asarray(mp.values).imag])
+    return _embedding_check(mp.values)
+
+
+def _embedding_check(values) -> EmbeddingCheck:
+    """embedding_check_sampled on the closed polygon through complex vertices."""
+    values = np.asarray(values)
+    P = np.column_stack([values.real, values.imag])
     m = len(P)
     A = P
     B = np.roll(P, -1, axis=0)

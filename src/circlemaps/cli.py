@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .approx import ApproximationBudgetError, approximate_homeomorphism, as_circle_lift
 from .blaschke import GridTooCoarseError, WindingInconsistencyError
 from .bounds import curvature_bound, heinz_report, horconvex_report
@@ -38,7 +36,7 @@ def _load_spec(path: str) -> dict:
 
 
 def _write_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     print(text)

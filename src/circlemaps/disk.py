@@ -4,7 +4,8 @@ Poisson kernel, pseudo-hyperbolic distance, disk Moebius transformations,
 and the additive Harnack gap bound. These are the primitives everything
 else (Blaschke products, certification, kernel approximation) builds on.
 
-All values are immutable and all operations are pure functions.
+All values are immutable and all operations are pure functions. A set of
+disk points is a read-only complex array, checked once by disk_array.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class DiskPoint:
 
     def __post_init__(self):
         z = _as_complex(self.value)
-        if abs(z) >= 1.0 - BOUNDARY_MARGIN:
-            raise ValueError(f"point {z} too close to the unit circle (|z|={abs(z):.17g})")
+        if not abs(z) < 1.0 - BOUNDARY_MARGIN:  # NaN fails the comparison too
+            raise ValueError(f"point {z} is not finite or too close to the unit circle "
+                             f"(|z|={abs(z):.17g})")
         object.__setattr__(self, "value", z)
 
     def __complex__(self) -> complex:
@@ -70,6 +72,22 @@ def as_disk(z) -> complex:
     if isinstance(z, DiskPoint):
         return z.value
     return DiskPoint(complex(z)).value
+
+
+def disk_array(points) -> np.ndarray:
+    """Validate points of the open disk at once; return them as a read-only array.
+
+    Accepts a sequence of complex numbers or DiskPoints, or an array. Every
+    value must be finite with |z| < 1 - 1e-12.
+    """
+    zs = np.array(points, dtype=complex).reshape(-1)
+    ok = np.abs(zs) < 1.0 - BOUNDARY_MARGIN  # NaN compares false
+    if not ok.all():
+        z = zs[np.argmin(ok)]
+        raise ValueError(f"point {z} is not finite or too close to the unit circle "
+                         f"(|z|={abs(z):.17g})")
+    zs.flags.writeable = False
+    return zs
 
 
 def poisson_kernel(z, zeta) -> float:
@@ -96,7 +114,7 @@ def poisson_sum_grid(points, grid_size: int) -> np.ndarray:
     theta = np.arange(grid_size) * (TWO_PI / grid_size)
     zeta = np.exp(1j * theta)
     out = np.zeros(grid_size)
-    pts = np.asarray([_as_complex(p) for p in points], dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     # chunk over points to bound the broadcast temporary
     chunk = max(1, int(4e6 // max(grid_size, 1)))
     for i in range(0, len(pts), chunk):

@@ -8,7 +8,7 @@ coefficient window |n| <= m/2 - 1 drops only the Nyquist bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import warnings
 from typing import Callable, Optional
@@ -50,6 +50,8 @@ class SampledCircleMap:
         _check_grid_size(len(self.values))
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("sampled values must be finite")
         if self.kind == "unimodular":
             dev = float(np.max(np.abs(np.abs(self.values) - 1.0)))
             if dev >= UNIMODULAR_TOL:
@@ -68,20 +70,17 @@ class SampledCircleMap:
 
 @dataclass
 class FourierSpectrum:
-    """Coefficients f_hat(n) over the symmetric window |n| <= m/2 - 1."""
+    """Coefficients f_hat(n) over the contiguous window ns = -(m/2 - 1), ..., m/2 - 1."""
 
     ns: np.ndarray
     coefficients: np.ndarray
     grid_size: int
     tolerance: float = DEFAULT_SUPPORT_TOL
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {int(n): i for i, n in enumerate(self.ns)}
 
     def __getitem__(self, n: int) -> complex:
-        i = self._index.get(int(n))
-        return complex(self.coefficients[i]) if i is not None else 0j
+        """f_hat(n) inside the window, 0 outside it."""
+        i = int(n) - int(self.ns[0])
+        return complex(self.coefficients[i]) if 0 <= i < len(self.ns) else 0j
 
     def abs(self) -> np.ndarray:
         return np.abs(self.coefficients)
@@ -187,8 +186,9 @@ class TrigSeries:
     """A trigonometric polynomial held by its FFT coefficient array.
 
     Backs the smooth periodic functions used by the approximation pipeline:
-    exact resampling onto finer power-of-two grids, spectral differentiation
-    and integration, and pointwise evaluation for off-grid arguments.
+    exact resampling onto power-of-two grids (the one evaluator on uniform
+    grids), spectral differentiation and integration, and pointwise
+    evaluation for off-grid arguments.
     """
 
     def __init__(self, coef: np.ndarray):
@@ -207,11 +207,15 @@ class TrigSeries:
         return complex(self.coef[0])
 
     def resample(self, g: int, real: bool = True) -> np.ndarray:
-        """Values on the uniform grid of size g >= m (zero-padded FFT)."""
-        if g < self.m:
-            raise ValueError("resample target must be at least the native grid")
-        if g == self.m:
-            vals = np.fft.ifft(self.coef) * g
+        """Values on the uniform grid of size g, exact at the grid points.
+
+        A g above m zero-pads the coefficients; a g that divides m takes every
+        (m/g)-th value of the native grid.
+        """
+        if g <= self.m:
+            if self.m % g:
+                raise ValueError("resample target must divide the native grid or exceed it")
+            vals = (np.fft.ifft(self.coef) * self.m)[:: self.m // g]
             return vals.real if real else vals
         c = np.zeros(g, dtype=complex)
         half = self.m // 2
@@ -235,7 +239,10 @@ class TrigSeries:
         return TrigSeries(out)
 
     def eval(self, theta) -> np.ndarray:
-        """Direct evaluation at arbitrary angles (O(m) per point, chunked)."""
+        """Direct evaluation at off-grid angles (O(m) per point, chunked).
+
+        On uniform power-of-two grids use resample, which is exact there.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         k = self.freqs()
         out = np.empty(len(theta))

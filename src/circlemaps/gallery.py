@@ -20,7 +20,7 @@ import numpy as np
 from .disk import TWO_PI, as_disk
 from .blaschke import BlaschkeQuotient, quotient_values_grid
 from .fourier import SampledCircleMap, grid_theta
-from .certify import EmbeddingCheck, embedding_check_sampled
+from .certify import _embedding_check
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,11 @@ def star_embedding(p: StarParams, m: int = 4096) -> SampledCircleMap:
     when the four vertices do not bound a simple polygon.
     """
     verts = p.vertices()
-    ok, _ = _polygon_simple(np.column_stack([verts.real, verts.imag]))
-    if not ok:
+    try:
+        simple = _embedding_check(verts).simple
+    except ValueError:  # a zero-length side
+        simple = False
+    if not simple:
         raise ValueError("star parameters produce a self-intersecting quadrilateral")
     knots = _STAR_KNOTS
     vals = np.append(verts, verts[0])
@@ -71,22 +74,6 @@ def star_embedding(p: StarParams, m: int = 4096) -> SampledCircleMap:
 
     samples = evaluator(grid_theta(m))
     return SampledCircleMap(samples, "embedding-claimed", evaluator)
-
-
-def _polygon_simple(P: np.ndarray):
-    """Exact simplicity check of a closed polygon over raw vertex coordinates."""
-
-    class _Poly:
-        pass
-
-    poly = _Poly()
-    poly.values = P[:, 0] + 1j * P[:, 1]
-    # embedding_check_sampled only touches .values
-    try:
-        res = embedding_check_sampled(poly)
-    except ValueError:
-        return False, None
-    return res.simple, res.witness
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ A map spec is a JSON object with a "type" field:
     {"type": "avoidable", "N": <int>}
     {"type": "samples", "values": [[re,im],...], "kind": "general"}
 
-Disk points must satisfy |z| < 1; sample arrays must have power-of-two
-length >= 64. Violations raise MapSpecError (CLI exit code 2).
+Numbers must be finite; disk points must satisfy |z| < 1 - 1e-12; sample
+arrays must have power-of-two length >= 64. Violations raise MapSpecError
+(CLI exit code 2).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from .blaschke import BlaschkeQuotient
+from .disk import disk_array
 from .fourier import SampledCircleMap
 from .gallery import GapParams, StarParams, gap_embedding, mobius_map, rational_family, star_embedding
 
@@ -38,8 +40,10 @@ def _point(v, what: str) -> complex:
         z = complex(float(v[0]), float(v[1]))
     except (TypeError, ValueError):
         raise MapSpecError(f"{what} has non-numeric entries: {v!r}")
-    if abs(z) >= 1.0 - 1e-12:
-        raise MapSpecError(f"{what} must lie strictly inside the unit disk, |z| = {abs(z):.6f}")
+    try:
+        disk_array(z)
+    except ValueError as e:
+        raise MapSpecError(f"{what} must lie strictly inside the unit disk: {e}")
     return z
 
 
@@ -64,7 +68,10 @@ def quotient_from_spec(spec: dict) -> BlaschkeQuotient:
         raise MapSpecError(f"map type {t!r} is not a rational quotient")
     zeros = [_point(z, "zero") for z in spec.get("zeros", [])]
     poles = [_point(w, "pole") for w in spec.get("poles", [])]
-    sigma = cmath.exp(1j * float(spec.get("sigma", 0.0)))
+    angle = float(spec.get("sigma", 0.0))
+    if not math.isfinite(angle):
+        raise MapSpecError(f"sigma must be a finite angle, got {angle}")
+    sigma = cmath.exp(1j * angle)
     try:
         return BlaschkeQuotient.make(zeros, poles, sigma)
     except ValueError as e:

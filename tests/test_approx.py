@@ -217,3 +217,18 @@ def test_as_circle_lift_dispatch(rng):
     assert np.max(np.abs(lift.value(theta) - (theta + 0.3))) < 1e-6
     with pytest.raises(ValueError):
         as_circle_lift(rational_family(quadratic_quotient(0.45), 4096))  # not injective
+
+
+def test_min_slope_matches_secant_reference():
+    def reference(lift, g):
+        # the secant formula on g + 1 points of [0, 2 pi], evaluated off the FFT path
+        F = lift.value(np.linspace(0.0, 2 * np.pi, g + 1))
+        return float(np.min(np.diff(F))) * g / (2 * np.pi)
+
+    pl = CircleLift.from_breakpoints([(0, 0), (np.pi / 2, np.pi), (2 * np.pi, 2 * np.pi)])
+    series = mollify_lift(pl, 0.1)
+    assert series.psi.series is not None and series.psi.series.m > 1024
+    for lift in (pl, series):
+        for g in (1024, 4096):
+            assert lift.min_slope(g) == pytest.approx(reference(lift, g), abs=1e-9)
+    assert pl.min_slope() == pytest.approx(2.0 / 3.0, abs=1e-9)

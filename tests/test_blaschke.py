@@ -189,3 +189,16 @@ def test_grid_paths_match_direct_evaluation(rng):
         assert abs(vals[j] - Q(zeta)) < 1e-11
         assert abs(np.exp(1j * args[j]) - Q(zeta)) < 1e-10
         assert D[j] == pytest.approx(quotient_arg_derivative(Q, zeta), abs=1e-10)
+
+
+def test_zeros_are_validated_read_only_array():
+    B = BlaschkeProduct.make([0.5, -0.3j], 1.0)
+    assert isinstance(B.zeros, np.ndarray) and B.zeros.dtype == complex
+    assert not B.zeros.flags.writeable
+    with pytest.raises(ValueError):
+        B.zeros[0] = 0.1
+    for bad in ([0.2, 1.0], [0.2, 1.0 - 1e-13], [complex(np.nan, 0.0)], [np.inf]):
+        with pytest.raises(ValueError):
+            BlaschkeProduct.make(bad, 1.0)
+    with pytest.raises(ValueError):
+        BlaschkeQuotient.make([0.1], [np.nan])

@@ -144,3 +144,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{broken")
     assert main(["certify", "--spec", str(notjson)]) == 2
+
+
+# json.dumps writes the non-standard NaN literal, which json.load accepts
+
+
+def test_cli_non_finite_zero_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "nan_zero.json",
+                     {"type": "blaschke_quotient", "zeros": [[float("nan"), 0.0]],
+                      "poles": [], "sigma": 0.0})
+    out = tmp_path / "nan.csv"
+    assert main(["fourier", "--spec", spec, "--out", str(out)]) == 2
+    assert not (tmp_path / "nan.summary.json").exists()
+    assert main(["certify", "--spec", spec]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_sigma_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "nan_sigma.json",
+                     {"type": "blaschke_quotient", "zeros": [[0.0, 0.0]],
+                      "poles": [], "sigma": float("nan")})
+    out = tmp_path / "sigma.csv"
+    assert main(["fourier", "--spec", spec, "--out", str(out)]) == 2
+    assert not (tmp_path / "sigma.summary.json").exists()
+
+
+def test_cli_non_finite_mobius_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "nan_a.json", {"type": "mobius", "a": [float("nan"), 0.1]})
+    assert main(["certify", "--spec", spec]) == 2
+
+
+def test_cli_non_finite_samples_exit_2(tmp_path):
+    values = [[float(np.cos(t)), float(np.sin(t))] for t in np.arange(64) * (2 * np.pi / 64)]
+    values[7] = [float("nan"), 0.0]
+    spec = write_spec(tmp_path, "nan_samples.json", {"type": "samples", "values": values})
+    for cmd in ("fourier", "bounds", "figure"):
+        assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 2

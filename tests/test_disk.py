@@ -118,3 +118,15 @@ def test_moebius_inverse_and_compose(rng):
     z = 0.1 + 0.2j
     assert abs(m1.inverse()(m1(z)) - z) < 1e-14
     assert abs(m2.compose(m1)(z) - m2(m1(z))) < 1e-14
+
+
+def test_disk_point_rejects_nan():
+    from circlemaps.disk import disk_array
+
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(ValueError):
+            DiskPoint(bad)
+        with pytest.raises(ValueError):
+            disk_array([0.1, bad])
+    assert disk_array([]).shape == (0,)
+    assert disk_array(0.5j).tolist() == [0.5j]

@@ -179,3 +179,36 @@ def test_trig_series_roundtrip(rng):
     d = s.derivative().eval(np.array([0.3, 1.9]))
     expected_d = -0.7 * np.sin([0.3, 1.9]) - 0.6 * np.cos(3 * np.array([0.3, 1.9]))
     assert np.max(np.abs(d - expected_d)) < 1e-11
+
+
+def test_trig_series_resample_coarser_grid_matches_eval(rng):
+    m = 512
+    coef = np.zeros(m, dtype=complex)
+    k = np.arange(1, 40)
+    c = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))
+    coef[k], coef[-k] = c, np.conj(c)
+    coef[0] = 0.3
+    s = TrigSeries(coef)
+    for g in (64, 128, 256, 512):
+        assert np.max(np.abs(s.resample(g) - s.eval(grid_theta(g)))) < 1e-12
+    with pytest.raises(ValueError):
+        s.resample(384)  # neither divides nor exceeds the native grid
+
+
+def test_spectrum_index_by_arithmetic(rng):
+    m = 256
+    mp = SampledCircleMap(rng.normal(size=m) + 1j * rng.normal(size=m))
+    spec = fourier_coefficients(mp)
+    for n in range(-m // 2 + 1, m // 2):
+        assert spec[n] == complex(spec.coefficients[spec.ns == n][0])
+    for n in (-m // 2, m // 2, -10 * m, 10 * m):
+        assert spec[n] == 0j
+
+
+def test_sampled_map_rejects_non_finite():
+    vals = np.exp(1j * grid_theta(64))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        v = vals.copy()
+        v[5] = bad
+        with pytest.raises(ValueError):
+            SampledCircleMap(v)
