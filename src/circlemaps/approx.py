@@ -170,7 +170,7 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
         raise ValueError("eps must be positive")
     hs = _to_series(h, grid)
     m_work = max(hs.m, grid)
-    h_fine = hs.resample(m_work) if m_work > hs.m else np.real(np.fft.ifft(hs.coef) * hs.m)
+    h_fine = hs.resample(m_work)
     if sup_norm(h_fine) < min(eps * 1e-3, 1e-12) or sup_norm(h_fine) == 0.0:
         return PoissonCombination.make(), {"r": None, "n": 0, "error": 0.0, "eps": eps}
     if abs(hs.mean()) >= MEAN_TOL:
@@ -202,10 +202,8 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
         if n * (1.0 - r) < 4.0 and n < N_CAP:
             n *= 2
             continue
-        m_big = max(m_work, n)
-        gvals = g_anti.resample(m_big)[:: m_big // n] if n < m_big else g_anti.resample(n)
         phi = grid_theta(n)
-        shifts = -gvals / n
+        shifts = -g_anti.resample(n) / n
         zs = r * np.exp(1j * (phi + shifts))
         ws = r * np.exp(1j * phi)
         comb = PoissonCombination.make(zs, ws, 0)

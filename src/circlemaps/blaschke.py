@@ -7,16 +7,22 @@ which makes quotients of two products the natural carrier for circle
 homeomorphism checks.
 
 Zeros are held as a read-only complex array, validated once when a product
-is made. On the uniform circle grid of size g, the argument derivative and
-the values each have two evaluation paths: direct sums of Poisson kernels or
-factors, O(n*g), and a power-sum path that expands the log-factors into the
-series theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m,
-evaluated by one FFT. The series is a trigonometric polynomial up to a tail
-bounded in closed form, so it scales to quotients with tens of thousands of
-zeros near the boundary. One function, _kernel_sum_order, chooses the path
-from n, g and the series order. The continuous argument always takes the
-series when its order is affordable, since that gives a continuous branch
-without unwrapping; otherwise it unwraps the phases of the direct values.
+is made. The approximation quotients B(zeta)/zeta^(n-1) and zeta^(n+1)/B(zeta)
+carry their monomial as zeros at the origin; every grid evaluation splits
+those off as an integer degree d, which adds d to the argument derivative,
+d*theta to the argument, zeta^d to the values and nothing to any power sum
+of order m >= 1, so the sums run over nonzero points only. On the uniform
+circle grid of size g, the nonzero points have two evaluation paths: direct
+sums of Poisson kernels, factors or factor arguments, O(n*g), and a
+power-sum path that expands the log-factors into the series
+theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m, evaluated by
+one FFT. The series is a trigonometric polynomial up to a tail bounded in
+closed form, so it scales to quotients with tens of thousands of zeros near
+the boundary. One function, _plan, makes the split and chooses the path: the
+derivative and the values sum directly up to n*g = 5e7, the argument and the
+slope bound take the series whenever it is affordable. Where it is not, the
+argument uses the closed form 2 sum arg(1 - z_k e^{-i theta}), whose terms
+are principal values in (-pi/2, pi/2) and so continuous on any grid.
 """
 
 from __future__ import annotations
@@ -192,33 +198,34 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     return out
 
 
-def _series_order(points: np.ndarray, tol: float) -> int:
-    """Smallest M with 2*sum_k r_k^{M+1} <= tol, conservatively via max radius."""
-    if len(points) == 0:
-        return 1
-    r = float(np.max(np.abs(points)))
-    if r < 1e-300:
-        return 1
-    n = len(points)
-    M = int(math.ceil(math.log(max(2.0 * n / tol, 4.0)) / -math.log(r))) + 1
-    return max(M, 1)
+_DIRECT_COST = 50_000_000  # n*g up to which grid sums are taken directly
 
 
-def _moment_cost_ok(points_n: int, M: int) -> bool:
-    return points_n * M <= 2_000_000_000 and M <= 2**22
+def _plan(pos, neg, g: int, tol: float = _SERIES_TAIL_TOL, weighted: bool = False):
+    """How to evaluate a signed sum over pos and neg on the grid of size g.
 
-
-def _kernel_sum_order(points: np.ndarray, g: int, tol: float = _SERIES_TAIL_TOL) -> int:
-    """Evaluation path for sums over points on the grid of size g.
-
-    Returns 0 for direct sums, else the series order M of the power-sum path.
-    Direct sums cost n*g and are taken up to 5e7 of it, and also whenever the
-    series would be too long (points too close to the circle).
+    Returns (zp, zn, d, M). Exact zeros at the origin are split off as the
+    monomial degree d (their count in pos minus their count in neg), so zp
+    and zn hold only nonzero points. M is the order of the power-sum series,
+    or 0 for direct sums: a grid sums directly up to n*g = 5e7, and g = 0
+    takes the series whenever it is affordable. M is the smallest order with
+    2*sum_k r_k^{M+1} <= tol, conservatively via the max radius; weighted
+    stretches it to int(1.2 M) + 8 for the m|S_m| weights of the slope bound.
+    A series with n*M > 2e9 or M > 2^22 is unaffordable and gives M = 0.
     """
-    if len(points) * g <= 50_000_000:
-        return 0
-    M = _series_order(points, tol)
-    return M if _moment_cost_ok(len(points), M) else 0
+    zp = np.asarray(pos, dtype=complex)
+    zn = np.asarray(neg, dtype=complex)
+    d = len(zp) - len(zn)
+    zp, zn = zp[zp != 0], zn[zn != 0]
+    d -= len(zp) - len(zn)
+    n = len(zp) + len(zn)
+    if n == 0 or 0 < n * g <= _DIRECT_COST:
+        return zp, zn, d, 0
+    r = max(np.abs(zp).max(initial=0.0), np.abs(zn).max(initial=0.0))
+    M = int(math.ceil(math.log(max(2.0 * n / tol, 4.0)) / -math.log(r))) + 1
+    if weighted:
+        M = int(M * 1.2) + 8
+    return zp, zn, d, (M if n * M <= 2_000_000_000 and M <= 2**22 else 0)
 
 
 def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
@@ -241,14 +248,29 @@ def _signed_power_sums(pos: np.ndarray, neg: np.ndarray, M: int) -> np.ndarray:
     return power_sums(pos, M)[1:] - power_sums(neg, M)[1:]
 
 
-def poisson_sum_signed_grid(pos, neg, g: int, tol: float = _SERIES_TAIL_TOL) -> np.ndarray:
-    """sum_k P(z_k, .) - sum_k P(w_k, .) on the grid, one moment pass for both."""
-    zp = np.asarray(pos, dtype=complex)
-    zn = np.asarray(neg, dtype=complex)
-    M = _kernel_sum_order(np.concatenate([zp, zn]), g, tol)
-    if M:
-        return (len(zp) - len(zn)) + 2.0 * _series_on_grid(_signed_power_sums(zp, zn, M), g).real
+def _arg_sum_grid(points: np.ndarray, g: int) -> np.ndarray:
+    """sum_k 2 arg(1 - z_k e^{-i theta_j}) on the grid, chunked over points.
+
+    Each term is a principal value in (-pi/2, pi/2), so the sum is continuous
+    in theta however coarse the grid.
+    """
+    conj_zeta = np.exp(-1j * np.arange(g) * (TWO_PI / g))
     out = np.zeros(g)
+    chunk = max(1, int(4e6 // g))
+    for i in range(0, len(points), chunk):
+        out += np.angle(1.0 - points[i : i + chunk, None] * conj_zeta).sum(axis=0)
+    return 2.0 * out
+
+
+def poisson_sum_signed_grid(pos, neg, g: int) -> np.ndarray:
+    """sum_k P(z_k, .) - sum_k P(w_k, .) on the grid, one moment pass for both.
+
+    A point at the origin has the kernel 1, so it only shifts the sum.
+    """
+    zp, zn, d, M = _plan(pos, neg, g)
+    if M:
+        return (len(zp) - len(zn) + d) + 2.0 * _series_on_grid(_signed_power_sums(zp, zn, M), g).real
+    out = np.full(g, float(d))
     if len(zp):
         out += poisson_sum_grid(zp, g)
     if len(zn):
@@ -264,20 +286,19 @@ def quotient_derivative_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
 def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Continuous argument of Q(e^{i theta_j}) on the uniform grid.
 
-    Branch anchored so that the value at theta = 0 is the principal argument
-    of Q(1). Uses the log-series (always a continuous branch); falls back to
-    phase unwrapping if zeros sit too close to the circle for the series.
+    arg sigma + (degree difference) theta plus the nonzero points' part: the
+    log-series when it is affordable, else the closed form 2 sum arg(1 - z_k
+    e^{-i theta}) - 2 sum arg(1 - w_k e^{-i theta}). Both are continuous
+    branches on any grid. Anchored so that the value at theta = 0 is the
+    principal argument of Q(1).
     """
-    zn, zd = Q.numerator.zeros, Q.denominator.zeros
-    allpts = np.concatenate([zn, zd])
-    M = _series_order(allpts, _SERIES_TAIL_TOL)
-    if not _moment_cost_ok(len(allpts), M):
-        vals = np.unwrap(np.angle(quotient_values_grid(Q, g)))
-        return vals - vals[0] + np.angle(Q(1.0))
+    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, 0)
+    if M:
+        core = -2.0 * _series_on_grid(_signed_power_sums(zp, zn, M) / np.arange(1, M + 1), g).imag
+    else:
+        core = _arg_sum_grid(zp, g) - _arg_sum_grid(zn, g)
     theta = np.arange(g) * (TWO_PI / g)
     sigma_arg = cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
-    m = np.arange(1, M + 1)
-    core = -2.0 * _series_on_grid(_signed_power_sums(zn, zd, M) / m, g).imag
     vals = sigma_arg + Q.degree_difference * theta + core
     # reduce the anchor to the principal branch at theta = 0
     shift = vals[0] - math.remainder(vals[0], TWO_PI)
@@ -289,14 +310,17 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
 
 def quotient_values_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Samples Q(e^{2 pi i j / g}); unimodular up to rounding."""
-    zn, zd = Q.numerator.zeros, Q.denominator.zeros
-    if _kernel_sum_order(np.concatenate([zn, zd]), g):
+    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, g)
+    if M:
         return np.exp(1j * quotient_arg_grid(Q, g))
     zeta = np.exp(1j * np.arange(g) * (TWO_PI / g))
     out = np.full(g, complex(Q.numerator.sigma / Q.denominator.sigma), dtype=complex)
-    for zk in zn:
+    if d:
+        # zeta_j^d from the exact index d*j mod g
+        out *= np.exp(1j * (TWO_PI / g) * (d * np.arange(g) % g))
+    for zk in zp:
         out *= (zeta - zk) / (1.0 - np.conjugate(zk) * zeta)
-    for wk in zd:
+    for wk in zn:
         out *= (1.0 - np.conjugate(wk) * zeta) / (zeta - wk)
     return out
 
@@ -315,33 +339,25 @@ def derivative_lipschitz_pointwise(Q: BlaschkeQuotient) -> float:
     return out
 
 
-def derivative_lipschitz_moment(Q: BlaschkeQuotient, tol: float = 1e-9):
+def derivative_lipschitz_moment(Q: BlaschkeQuotient):
     """Certified bound 2*sum_m m|S_m| + tail on the derivative's theta-slope.
 
-    S_m = sum z_k^m - sum w_k^m. The tail over m > M is bounded by the exact
-    geometric formula per point; M is chosen so the tail is below tol. Returns
+    S_m = sum z_k^m - sum w_k^m, to which zeros at the origin add nothing.
+    The tail over m > M is bounded by the exact geometric formula per point;
+    M is the series order for tails below 1e-9, stretched for the m weights. Returns
     (bound, M). Falls back to the per-point bound (returning M = 0) when the
     series would be too long to be worth it.
     """
-    zn, zd = Q.numerator.zeros, Q.denominator.zeros
-    allpts = np.concatenate([zn, zd])
-    if len(allpts) == 0:
-        return 0.0, 1
-    M = _series_order(allpts, tol)
-    # the m|S_m| weighting needs a slightly longer series than plain tails
-    M = int(M * 1.2) + 8
-    if not _moment_cost_ok(len(allpts), M):
+    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, 0, tol=1e-9, weighted=True)
+    if not M:
         return derivative_lipschitz_pointwise(Q), 0
-    S = _signed_power_sums(zn, zd, M)
+    S = _signed_power_sums(zp, zn, M)
     m = np.arange(1, M + 1)
     bound = 2.0 * float(np.sum(m * np.abs(S)))
     # tail: 2 * sum_k sum_{m>M} m r^m = 2 * sum_k r^{M+1}((M+1) - M r)/(1-r)^2
-    r = np.abs(allpts)
-    r = r[r > 0]
-    if len(r):
-        tail = 2.0 * float(np.sum(r ** (M + 1) * ((M + 1) - M * r) / (1.0 - r) ** 2))
-        bound += tail
-    return bound, M
+    r = np.abs(np.concatenate([zp, zn]))
+    tail = 2.0 * float(np.sum(r ** (M + 1) * ((M + 1) - M * r) / (1.0 - r) ** 2))
+    return bound + tail, M
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,9 @@ def horconvex_report(mp: SampledCircleMap, lipschitz: float = None) -> Horconvex
     two arcs joining its global extrema; monotonicity is checked with a 1e-9
     tolerance and plateaus are accepted. L defaults to the maximum
     adjacent-sample slope, a lower estimate of the true Lipschitz constant,
-    which makes the computed bound an over-estimate; pass an exact value (or
-    provide a map derivative) to tighten it. The report records the estimator.
+    which makes the computed bound an over-estimate; pass an exact value as
+    lipschitz to tighten it. The report records the estimator ("provided" or
+    "grid-slope").
     """
     y = np.asarray(mp.values).imag
     m = len(y)
@@ -111,11 +112,6 @@ def horconvex_report(mp: SampledCircleMap, lipschitz: float = None) -> Horconvex
 
     if lipschitz is not None:
         L, estimator = float(lipschitz), "provided"
-    elif mp.derivative is not None:
-        from .fourier import grid_theta
-
-        L = float(np.max(np.abs(np.imag(mp.derivative(grid_theta(4 * m))))))
-        estimator = "derivative"
     else:
         dtheta = TWO_PI / m
         L = float(np.max(np.abs(np.diff(np.append(y, y[0])))) / dtheta)

@@ -17,7 +17,7 @@ from .blaschke import GridTooCoarseError, WindingInconsistencyError
 from .bounds import curvature_bound, heinz_report, horconvex_report
 from .certify import certify_quotient
 from .fourier import enclosed_area, fourier_coefficients, parseval_defect, spectrum_csv_rows, support
-from .mapspec import MapSpecError, quotient_from_spec, sampled_from_spec, spec_from_quotient
+from .mapspec import MapSpecError, quotient_from_spec, sampled_from_spec, spec_from_quotient, validate
 from .svg import curve_svg
 
 EXIT_OK = 0
@@ -76,9 +76,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_approximate(args) -> int:
-    spec = _load_spec(args.spec)
-    t = spec.get("type")
-    if t in ("blaschke_quotient", "mobius"):
+    spec = validate(_load_spec(args.spec))
+    if spec["type"] in ("blaschke_quotient", "mobius"):
         target = quotient_from_spec(spec)
     else:
         target = sampled_from_spec(spec, args.grid)
@@ -91,7 +90,6 @@ def cmd_approximate(args) -> int:
         "certification": result.certification.to_json_dict(),
         "log": {k: v for k, v in result.log.items()
                 if isinstance(v, (int, float, str)) or v is None},
-        "seed": args.seed,
     }
     _write_json(payload, args.out)
     return EXIT_OK
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, help="path to a JSON map spec")
         sp.add_argument("--grid", type=int, default=4096, help="sampling grid size (power of two)")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--seed", type=int, default=0, help="recorded in logs for reproducibility")
 
     sp = sub.add_parser("fourier", help="spectrum CSV + JSON summary")
     common(sp)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import warnings
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,14 +35,11 @@ def _check_grid_size(m: int):
 class SampledCircleMap:
     """A circle map f: T -> C sampled on the uniform angular grid.
 
-    values[j] = f(exp(2 pi i j / m)). An optional exact evaluator (and
-    derivative) lets downstream consumers refine without resampling loss.
+    values[j] = f(exp(2 pi i j / m)); kind is one of VALID_KINDS.
     """
 
     values: np.ndarray
     kind: str = "general"
-    evaluator: Optional[Callable] = None
-    derivative: Optional[Callable] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -60,12 +56,6 @@ class SampledCircleMap:
     @property
     def m(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def from_function(cls, f: Callable, m: int = DEFAULT_GRID, kind: str = "general",
-                      derivative: Optional[Callable] = None) -> "SampledCircleMap":
-        theta = grid_theta(m)
-        return cls(np.asarray(f(theta), dtype=complex), kind, f, derivative)
 
 
 @dataclass

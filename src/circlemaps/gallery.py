@@ -63,17 +63,10 @@ def star_embedding(p: StarParams, m: int = 4096) -> SampledCircleMap:
         simple = False
     if not simple:
         raise ValueError("star parameters produce a self-intersecting quadrilateral")
-    knots = _STAR_KNOTS
     vals = np.append(verts, verts[0])
-
-    def evaluator(theta):
-        t = np.asarray(theta, dtype=float) % TWO_PI
-        re = np.interp(t, knots, vals.real)
-        im = np.interp(t, knots, vals.imag)
-        return re + 1j * im
-
-    samples = evaluator(grid_theta(m))
-    return SampledCircleMap(samples, "embedding-claimed", evaluator)
+    t = grid_theta(m)
+    samples = np.interp(t, _STAR_KNOTS, vals.real) + 1j * np.interp(t, _STAR_KNOTS, vals.imag)
+    return SampledCircleMap(samples, "embedding-claimed")
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +108,11 @@ def gap_phase(t) -> np.ndarray:
     return g + g * g / math.pi
 
 
-def gap_evaluator(p: GapParams):
-    k = p.k
-
-    def evaluator(theta):
-        theta = np.asarray(theta, dtype=float)
-        t = k * theta
-        return gap_radius(t) * np.exp(1j * (theta + gap_phase(t)))
-
-    return evaluator
-
-
 def gap_embedding(p: GapParams, m: int = 4096) -> SampledCircleMap:
     """The k-fold symmetric embedding sampled on the power-of-two grid."""
-    evaluator = gap_evaluator(p)
-    return SampledCircleMap(evaluator(grid_theta(m)), "embedding-claimed", evaluator)
+    theta = grid_theta(m)
+    t = p.k * theta
+    return SampledCircleMap(gap_radius(t) * np.exp(1j * (theta + gap_phase(t))), "embedding-claimed")
 
 
 def gap_symmetric_samples(p: GapParams, m_sym: int) -> np.ndarray:
@@ -176,21 +159,12 @@ def gap_symmetry_residual(p: GapParams, m_sym: int = 0) -> float:
 def mobius_map(a, m: int = 4096) -> SampledCircleMap:
     """The Moebius circle map (zeta + a)/(1 + conj(a) zeta)."""
     a = as_disk(a)
-
-    def evaluator(theta):
-        zeta = np.exp(1j * np.asarray(theta, dtype=float))
-        return (zeta + a) / (1.0 + np.conjugate(a) * zeta)
-
-    return SampledCircleMap(evaluator(grid_theta(m)), "unimodular", evaluator)
+    zeta = np.exp(1j * grid_theta(m))
+    return SampledCircleMap((zeta + a) / (1.0 + np.conjugate(a) * zeta), "unimodular")
 
 
 def rational_family(Q: BlaschkeQuotient, m: int = 4096) -> SampledCircleMap:
     """Sample a Blaschke quotient on the grid as a unimodular circle map."""
     vals = quotient_values_grid(Q, m)
     vals = vals / np.abs(vals)  # scrub accumulated rounding in long products
-    return SampledCircleMap(vals, "unimodular", lambda th: _eval_quotient(Q, th))
-
-
-def _eval_quotient(Q: BlaschkeQuotient, theta):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return np.array([Q(z) for z in np.exp(1j * theta)])
+    return SampledCircleMap(vals, "unimodular")

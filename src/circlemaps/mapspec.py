@@ -9,9 +9,9 @@ A map spec is a JSON object with a "type" field:
     {"type": "avoidable", "N": <int>}
     {"type": "samples", "values": [[re,im],...], "kind": "general"}
 
-Numbers must be finite; disk points must satisfy |z| < 1 - 1e-12; sample
-arrays must have power-of-two length >= 64. Violations raise MapSpecError
-(CLI exit code 2).
+Numbers must be finite and N a whole number; disk points must satisfy
+|z| < 1 - 1e-12; sample arrays must have power-of-two length >= 64.
+Violations raise MapSpecError (CLI exit code 2).
 """
 
 from __future__ import annotations
@@ -33,18 +33,31 @@ class MapSpecError(ValueError):
     pass
 
 
+def _number(v, what: str) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise MapSpecError(f"{what} must be a number, got {v!r}")
+    if not math.isfinite(x):
+        raise MapSpecError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _point(v, what: str) -> complex:
     if (not isinstance(v, (list, tuple))) or len(v) != 2:
         raise MapSpecError(f"{what} must be a [re, im] pair, got {v!r}")
-    try:
-        z = complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError):
-        raise MapSpecError(f"{what} has non-numeric entries: {v!r}")
+    z = complex(_number(v[0], what), _number(v[1], what))
     try:
         disk_array(z)
     except ValueError as e:
         raise MapSpecError(f"{what} must lie strictly inside the unit disk: {e}")
     return z
+
+
+def _points(vs, what: str) -> list:
+    if not isinstance(vs, list):
+        raise MapSpecError(f"{what}s must be a list of [re, im] pairs, got {vs!r}")
+    return [_point(v, what) for v in vs]
 
 
 def validate(spec: dict) -> dict:
@@ -66,12 +79,9 @@ def quotient_from_spec(spec: dict) -> BlaschkeQuotient:
         return BlaschkeQuotient.make([-a], [], 1.0)
     if t != "blaschke_quotient":
         raise MapSpecError(f"map type {t!r} is not a rational quotient")
-    zeros = [_point(z, "zero") for z in spec.get("zeros", [])]
-    poles = [_point(w, "pole") for w in spec.get("poles", [])]
-    angle = float(spec.get("sigma", 0.0))
-    if not math.isfinite(angle):
-        raise MapSpecError(f"sigma must be a finite angle, got {angle}")
-    sigma = cmath.exp(1j * angle)
+    zeros = _points(spec.get("zeros", []), "zero")
+    poles = _points(spec.get("poles", []), "pole")
+    sigma = cmath.exp(1j * _number(spec.get("sigma", 0.0), "sigma"))
     try:
         return BlaschkeQuotient.make(zeros, poles, sigma)
     except ValueError as e:
@@ -99,15 +109,17 @@ def sampled_from_spec(spec: dict, m: int = 4096) -> SampledCircleMap:
             return rational_family(quotient_from_spec(spec), m)
         if t == "star":
             try:
-                p = StarParams(float(spec["x"]), float(spec["y"]))
+                p = StarParams(_number(spec["x"], "x"), _number(spec["y"], "y"))
             except KeyError as e:
                 raise MapSpecError(f"star spec missing field {e}")
             return star_embedding(p, m)
         if t == "avoidable":
-            try:
-                p = GapParams(int(spec["N"]))
-            except KeyError as e:
-                raise MapSpecError(f"avoidable spec missing field {e}")
+            if "N" not in spec:
+                raise MapSpecError("avoidable spec missing field 'N'")
+            N = _number(spec["N"], "N")
+            if not N.is_integer():
+                raise MapSpecError(f"N must be a whole number, got {spec['N']!r}")
+            p = GapParams(int(N))
             return gap_embedding(p, m)
         vals = spec.get("values")
         if not isinstance(vals, list) or not vals:

@@ -202,3 +202,61 @@ def test_zeros_are_validated_read_only_array():
             BlaschkeProduct.make(bad, 1.0)
     with pytest.raises(ValueError):
         BlaschkeQuotient.make([0.1], [np.nan])
+
+
+def test_arg_grid_closed_form_keeps_turns_on_coarse_grid():
+    # the series is unaffordable this close to the circle; the direct argument
+    # must stay a continuous branch although the zero's turn falls between samples
+    Q = BlaschkeQuotient.make([0.999999 * cmath.exp(1j * np.pi / 64)], [])
+    g = 64
+    args = quotient_arg_grid(Q, g)
+    for j in range(g):
+        assert abs(np.exp(1j * args[j]) - Q(cmath.exp(2j * np.pi * j / g))) < 1e-12
+    steps = np.diff(args)
+    assert np.all(steps > 0)
+    assert steps.sum() > np.pi
+
+
+def _ring_quotient(n=256):
+    """The certification ring: n zeros near the circle over a pole of order n-1 at 0."""
+    from circlemaps.certify import terminating_family_quotient
+
+    r = 1.0 - (np.log(40.0 * n) + 3.0) / n
+    phi = 2 * np.pi * np.arange(n) / n
+    return terminating_family_quotient("below", r * np.exp(1j * (phi - 0.15 * np.sin(2 * phi) / n)))
+
+
+@pytest.mark.parametrize("g", [4096, 2**18])
+def test_ring_grids_match_pointwise_evaluation(g):
+    # g = 4096 sums the derivative and values directly, 2^18 takes the series
+    Q = _ring_quotient()
+    D = quotient_derivative_grid(Q, g)
+    args = quotient_arg_grid(Q, g)
+    vals = quotient_values_grid(Q, g)
+    for j in (0, 1, g // 7, g // 2 + 3, g - 1):
+        zeta = cmath.exp(2j * np.pi * j / g)
+        q = Q(zeta)
+        assert D[j] == pytest.approx(quotient_arg_derivative(Q, zeta), abs=1e-9)
+        assert abs(np.exp(1j * args[j]) - q) < 1e-9
+        assert abs(vals[j] - q) < 1e-9
+
+
+def test_grid_sums_skip_zeros_at_origin(monkeypatch):
+    from circlemaps import blaschke
+    from circlemaps.certify import certify_quotient
+
+    seen = []
+
+    def spy(fn):
+        def wrapped(points, *args):
+            seen.append(np.asarray(points, dtype=complex))
+            return fn(points, *args)
+        return wrapped
+
+    monkeypatch.setattr(blaschke, "poisson_sum_grid", spy(blaschke.poisson_sum_grid))
+    monkeypatch.setattr(blaschke, "power_sums", spy(blaschke.power_sums))
+    Q = _ring_quotient()
+    assert certify_quotient(Q).verdict == "Diffeomorphism"
+    quotient_values_grid(Q, 2**18)
+    assert sum(len(p) for p in seen) > 0
+    assert not any(np.any(p == 0) for p in seen)

@@ -180,3 +180,21 @@ def test_cli_non_finite_samples_exit_2(tmp_path):
     spec = write_spec(tmp_path, "nan_samples.json", {"type": "samples", "values": values})
     for cmd in ("fourier", "bounds", "figure"):
         assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 2
+
+
+MALFORMED_SPECS = {
+    "sigma_text": dict(IDENTITY, sigma="abc"),
+    "sigma_null": dict(IDENTITY, sigma=None),
+    "sigma_list": dict(IDENTITY, sigma=[1, 2]),
+    "zeros_number": dict(IDENTITY, zeros=5),
+    "json_array": [1, 2],
+    "fractional_N": {"type": "avoidable", "N": 2.7},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_cli_malformed_spec_exits_2(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, f"{name}.json", MALFORMED_SPECS[name])
+    for cmd in ("fourier", "certify", "approximate", "figure", "bounds"):
+        assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
+        assert "input error" in capsys.readouterr().err, cmd
