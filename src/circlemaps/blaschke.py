@@ -12,15 +12,17 @@ carry their monomial as zeros at the origin; every grid evaluation splits
 those off as an integer degree d, which adds d to the argument derivative,
 d*theta to the argument, zeta^d to the values and nothing to any power sum
 of order m >= 1, so the sums run over nonzero points only. On the uniform
-circle grid of size g, the nonzero points have two evaluation paths: direct
-sums of Poisson kernels, factors or factor arguments, O(n*g), and a
-power-sum path that expands the log-factors into the series
+circle grid of size g, the nonzero points have two evaluation paths. The
+power-sum path expands the log-factors into the series
 theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m, evaluated by
-one FFT. The series is a trigonometric polynomial up to a tail bounded in
-closed form, so it scales to quotients with tens of thousands of zeros near
-the boundary. One function, _plan, makes the split and chooses the path: the
-derivative and the values sum directly up to n*g = 5e7, the argument and the
-slope bound take the series whenever it is affordable. Where it is not, the
+one FFT; the power sums themselves are one blocked matrix product. The series
+is a trigonometric polynomial up to a tail bounded in closed form, so it
+scales to quotients with tens of thousands of zeros near the boundary. The
+direct path sums Poisson kernels, factors or factor arguments, O(n*g). One
+function, _plan, makes the split, sizes the series for each job and takes it
+whenever it is affordable, on every grid; derivative_grid_error bounds the
+derivative series' tail and rounding a priori for the certifier. Where the
+series is unaffordable, the derivative and the values sum directly and the
 argument uses the closed form 2 sum arg(1 - z_k e^{-i theta}), whose terms
 are principal values in (-pi/2, pi/2) and so continuous on any grid.
 """
@@ -39,6 +41,8 @@ from .disk import TWO_PI, _as_complex, disk_array, poisson_sum_grid
 COMMON_ZERO_TOL = 1e-12
 GRID_CAP = 2**20
 _SERIES_TAIL_TOL = 1e-11
+_U = 2.0**-53  # unit roundoff of float64
+_BLOCK = 2**21  # complex numbers per power-sum temporary (32 MB)
 
 
 class GridTooCoarseError(RuntimeError):
@@ -151,21 +155,37 @@ _POWER_CACHE: "OrderedDict[tuple, np.ndarray]" = None  # initialized below
 
 
 def _power_sums_raw(pts: np.ndarray, M: int) -> np.ndarray:
+    """T[m] = sum_k z_k^m for m = 0..M as T[qb + j] = sum_k (z_k^b)^q z_k^j.
+
+    P holds z^1..z^b (one cumprod along each row), W holds z^0, z^b, z^2b, ...
+    (one cumprod down the columns, chunked over its rows and continued from
+    the last row), and each chunk of T is the product W @ P. The points are
+    summed in groups of G = ceil(sqrt(n)), one product per group added in
+    turn, so a sum carries at most G + n/G additions, not n (the rounding
+    this leaves is bounded in derivative_grid_error). P and each chunk of W
+    hold at most _BLOCK complex numbers (32 MB).
+    """
     out = np.zeros(M + 1, dtype=complex)
-    out[0] = len(pts)
-    if len(pts) == 0 or M == 0:
-        return out
     n = len(pts)
-    B = 128
-    V = np.ones(n, dtype=complex)
-    col = np.broadcast_to(pts[:, None], (n, B))
-    m = 1
-    while m <= M:
-        b = min(B, M - m + 1)
-        P = np.cumprod(col[:, :b], axis=1)  # pts^1 .. pts^b
-        out[m : m + b] = np.dot(V, P)
-        V = V * P[:, b - 1]
-        m += b
+    out[0] = n
+    if n == 0 or M == 0:
+        return out
+    b = min(M, 128, max(1, _BLOCK // n))
+    P = np.cumprod(np.broadcast_to(pts[:, None], (n, b)), axis=1)
+    zb = P[:, -1]
+    G = math.isqrt(n - 1) + 1
+    rows = -(-M // b)
+    step = max(1, _BLOCK // n)
+    first = np.ones(n, dtype=complex)
+    for q0 in range(0, rows, step):
+        W = np.empty((min(step, rows - q0), n), dtype=complex)
+        W[0] = first
+        W[1:] = zb
+        np.cumprod(W, axis=0, out=W)
+        first = W[-1] * zb
+        T = sum(W[:, s : s + G] @ P[s : s + G] for s in range(0, n, G)).ravel()
+        lo = 1 + q0 * b
+        out[lo : lo + len(T)] = T[: M + 1 - lo]
     return out
 
 
@@ -198,20 +218,21 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     return out
 
 
-_DIRECT_COST = 50_000_000  # n*g up to which grid sums are taken directly
-
-
-def _plan(pos, neg, g: int, tol: float = _SERIES_TAIL_TOL, weighted: bool = False):
-    """How to evaluate a signed sum over pos and neg on the grid of size g.
+def _plan(pos, neg, job: str):
+    """How to evaluate a signed sum over pos and neg on a uniform grid.
 
     Returns (zp, zn, d, M). Exact zeros at the origin are split off as the
     monomial degree d (their count in pos minus their count in neg), so zp
     and zn hold only nonzero points. M is the order of the power-sum series,
-    or 0 for direct sums: a grid sums directly up to n*g = 5e7, and g = 0
-    takes the series whenever it is affordable. M is the smallest order with
-    2*sum_k r_k^{M+1} <= tol, conservatively via the max radius; weighted
-    stretches it to int(1.2 M) + 8 for the m|S_m| weights of the slope bound.
-    A series with n*M > 2e9 or M > 2^22 is unaffordable and gives M = 0.
+    sized for the job from the max radius r over the n nonzero points:
+    * "arg" (argument and values): 2 n r^(M+1) <= tol, which bounds the tail
+      2 sum_{m>M} |S_m|/m <= 2 n r^(M+1)/((M+1)(1-r)) by tol, as
+      (M+1)(1-r) >= 1 for every such M;
+    * "derivative": 2 n r^(M+1)/(1-r) <= tol, the tail 2 sum_{m>M} |S_m|;
+    * "slope": the "arg" order at tol 1e-9, stretched to int(1.2 M) + 8 for
+      the m|S_m| weights of the slope bound, whose tail is summed exactly.
+    Every job takes the series when it is affordable, whatever the grid; a
+    series with n*M > 2e9 or M > 2^22 is not, and gives M = 0 (direct sums).
     """
     zp = np.asarray(pos, dtype=complex)
     zn = np.asarray(neg, dtype=complex)
@@ -219,13 +240,24 @@ def _plan(pos, neg, g: int, tol: float = _SERIES_TAIL_TOL, weighted: bool = Fals
     zp, zn = zp[zp != 0], zn[zn != 0]
     d -= len(zp) - len(zn)
     n = len(zp) + len(zn)
-    if n == 0 or 0 < n * g <= _DIRECT_COST:
+    if n == 0:
         return zp, zn, d, 0
     r = max(np.abs(zp).max(initial=0.0), np.abs(zn).max(initial=0.0))
+    tol = 1e-9 if job == "slope" else _SERIES_TAIL_TOL
+    if job == "derivative":
+        tol *= 1.0 - r
     M = int(math.ceil(math.log(max(2.0 * n / tol, 4.0)) / -math.log(r))) + 1
-    if weighted:
+    if job == "slope":
         M = int(M * 1.2) + 8
     return zp, zn, d, (M if n * M <= 2_000_000_000 and M <= 2**22 else 0)
+
+
+def _fft_size(g: int, M: int) -> int:
+    """The FFT size g * 2^k > M + 1 on which _series_on_grid places M coefficients."""
+    ge = g
+    while ge < M + 2:
+        ge *= 2
+    return ge
 
 
 def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
@@ -235,9 +267,7 @@ def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
     so no frequency folds, and keeps every 2^k-th value.
     """
     M = len(coeffs)
-    ge = g
-    while ge < M + 2:
-        ge *= 2
+    ge = _fft_size(g, M)
     c = np.zeros(ge, dtype=complex)
     c[1 : M + 1] = coeffs
     return np.fft.fft(c)[:: ge // g]
@@ -267,7 +297,7 @@ def poisson_sum_signed_grid(pos, neg, g: int) -> np.ndarray:
 
     A point at the origin has the kernel 1, so it only shifts the sum.
     """
-    zp, zn, d, M = _plan(pos, neg, g)
+    zp, zn, d, M = _plan(pos, neg, "derivative")
     if M:
         return (len(zp) - len(zn) + d) + 2.0 * _series_on_grid(_signed_power_sums(zp, zn, M), g).real
     out = np.full(g, float(d))
@@ -283,6 +313,49 @@ def quotient_derivative_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     return poisson_sum_signed_grid(Q.numerator.zeros, Q.denominator.zeros, g)
 
 
+def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
+    """A-priori bound on the error of quotient_derivative_grid(Q, g).
+
+    0.0 when the grid is summed directly. The series path computes
+    c + 2 Re sum_{m<=M} S_m e^{-i m theta} with c = n_z - n_w + d; with r_k
+    the radii of the nonzero points, u = 2^-53, s1 = sum_k r_k/(1-r_k) >=
+    sum_m |S_m| and s2 = sum_k r_k/(1-r_k)^2 = sum_k sum_m m r_k^m, its
+    error has three parts:
+    * the tail 2 sum_{m>M} |S_m| <= 2 sum_k r_k^(M+1)/(1-r_k), below the
+      series tolerance by the order _plan chose;
+    * rounding in S_m. _power_sums_raw forms z^m as W[q] P[j] from a chain
+      of m - 1 complex products, each off by under 3u relatively (sqrt(2)
+      gamma_2, Higham section 3.6). The product W @ P sums groups of G <=
+      sqrt(n) + 1 points; a complex dot product of length G is two real ones
+      of length 2G, off by sqrt(2) gamma_2G < 2.83 G u times sum |terms|
+      however the BLAS orders them. Adding up the n/G <= sqrt(n) + 1 group
+      sums and forming S = T_pos - T_neg add one u per addition. So
+      |dS_m| <= u (3m + 4 sqrt(n) + 4) sum_k r_k^m, with n the larger
+      side's count, and the grid is off by at most 2 sum_m |dS_m| =
+      2u (3 s2 + (4 sqrt(n) + 4) s1);
+    * the FFT. Higham section 24.1 bounds each butterfly stage by
+      eta = mu + gamma_4 (sqrt(2) + mu) < 7u relatively, mu = u for the
+      weights; taken componentwise, an output of t = log2 N stages whose
+      weights have modulus one is off by at most ((1 + eta)^t - 1)
+      sum_m |S_m|, doubled by 2 Re. Adding c rounds once more, by at most
+      u (|c| + 2 s1).
+    The factor 1.05 covers the second-order terms and the rounding of r_k.
+    t = ceil(log2 N) counts the stages of power-of-two sizes N, the ones
+    the CLI asks for and the pipeline uses; other sizes are not covered.
+    """
+    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "derivative")
+    if not M:
+        return 0.0
+    r = np.abs(np.concatenate([zp, zn]))
+    s1 = float(np.sum(r / (1.0 - r)))
+    s2 = float(np.sum(r / (1.0 - r) ** 2))
+    tail = 2.0 * float(np.sum(r ** (M + 1) / (1.0 - r)))
+    power = 2.0 * _U * (3.0 * s2 + (4.0 * math.sqrt(max(len(zp), len(zn))) + 4.0) * s1)
+    t = (_fft_size(g, M) - 1).bit_length()
+    fft = 2.0 * 7.0 * t * _U * s1 + _U * (abs(len(zp) - len(zn) + d) + 2.0 * s1)
+    return 1.05 * (tail + power + fft)
+
+
 def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Continuous argument of Q(e^{i theta_j}) on the uniform grid.
 
@@ -292,7 +365,7 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     branches on any grid. Anchored so that the value at theta = 0 is the
     principal argument of Q(1).
     """
-    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, 0)
+    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "arg")
     if M:
         core = -2.0 * _series_on_grid(_signed_power_sums(zp, zn, M) / np.arange(1, M + 1), g).imag
     else:
@@ -310,7 +383,7 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
 
 def quotient_values_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Samples Q(e^{2 pi i j / g}); unimodular up to rounding."""
-    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, g)
+    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "arg")
     if M:
         return np.exp(1j * quotient_arg_grid(Q, g))
     zeta = np.exp(1j * np.arange(g) * (TWO_PI / g))
@@ -348,7 +421,7 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
     (bound, M). Falls back to the per-point bound (returning M = 0) when the
     series would be too long to be worth it.
     """
-    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, 0, tol=1e-9, weighted=True)
+    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "slope")
     if not M:
         return derivative_lipschitz_pointwise(Q), 0
     S = _signed_power_sums(zp, zn, M)

@@ -31,6 +31,7 @@ from .blaschke import (
     GRID_CAP,
     BlaschkeQuotient,
     GridTooCoarseError,
+    derivative_grid_error,
     derivative_lipschitz_moment,
     derivative_lipschitz_pointwise,
     quotient_arg_derivative,
@@ -42,7 +43,7 @@ HOMEOMORPHISM_BOUNDARY = "HomeomorphismBoundary"
 NOT_HOMEOMORPHISM = "NotHomeomorphism"
 INCONCLUSIVE = "Inconclusive"
 
-_EVAL_TOL = 1e-10  # grid evaluation accuracy (series tail + rounding)
+_EVAL_TOL = 1e-10  # least evaluation slack, and the only one on the direct path
 _NEG_WITNESS_TOL = -1e-10
 
 
@@ -65,9 +66,11 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
 
     NotHomeomorphism when the degree difference is not one, or when a grid
     point with (directly re-verified) negative derivative is found. Otherwise
-    the certified minimum is grid minimum - pi * L / grid, with L the certified
-    slope bound; positivity gives Diffeomorphism, and hitting the 2^20 grid
-    cap without a decision gives Inconclusive with the best margin found.
+    the certified minimum is grid minimum - pi * L / grid - evaluation error,
+    with L the certified slope bound and the error bounded a priori on the
+    series path (derivative_grid_error). Positivity gives Diffeomorphism, and
+    hitting the 2^20 grid cap without a decision gives Inconclusive with the
+    best margin found.
     """
     g = max(64, target_grid)
     if Q.degree_difference != 1:
@@ -90,7 +93,7 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
             theta = TWO_PI * j / g
             if _verified_negative(Q, theta):
                 return CertificationResult(NOT_HOMEOMORPHISM, grid_min, g, theta)
-        slack = math.pi * L / g + _EVAL_TOL
+        slack = _slack(Q, L, g)
         certified = grid_min - slack
         best_margin = max(best_margin, certified)
         if certified > 0:
@@ -99,11 +102,21 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
                 g *= 2
                 D = quotient_derivative_grid(Q, g)
                 grid_min = float(np.min(D))
-                slack = math.pi * L / g + _EVAL_TOL
+                slack = _slack(Q, L, g)
             return CertificationResult(DIFFEOMORPHISM, grid_min - slack, g)
         if g >= GRID_CAP:
             return CertificationResult(INCONCLUSIVE, best_margin, g)
         g *= 2
+
+
+def _slack(Q: BlaschkeQuotient, L: float, g: int) -> float:
+    """How far the true minimum may sit below the grid minimum of the derivative.
+
+    pi L / g between grid points, plus the evaluation error: the series
+    path's a-priori bound, or _EVAL_TOL when that is larger or the grid was
+    summed directly.
+    """
+    return math.pi * L / g + max(_EVAL_TOL, derivative_grid_error(Q, g))
 
 
 def _verified_negative(Q: BlaschkeQuotient, theta: float) -> bool:

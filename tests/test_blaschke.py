@@ -260,3 +260,112 @@ def test_grid_sums_skip_zeros_at_origin(monkeypatch):
     quotient_values_grid(Q, 2**18)
     assert sum(len(p) for p in seen) > 0
     assert not any(np.any(p == 0) for p in seen)
+
+
+U = 2.0**-53
+
+
+def _power_sums_loop(pts, M):
+    """Reference: T[m] = sum_k z_k^m from one running product per point."""
+    out = np.zeros(M + 1, dtype=complex)
+    out[0] = len(pts)
+    V = np.ones(len(pts), dtype=complex)
+    for m in range(1, M + 1):
+        V = V * pts
+        out[m] = V.sum()
+    return out
+
+
+def test_power_sums_uniform_ring_oracle():
+    # z_k = r e^{2 pi i k/n} has T_m = n r^m when n divides m and 0 otherwise
+    n, r, M = 1024, 0.9875, 3025
+    T = power_sums(r * np.exp(2j * np.pi * np.arange(n) / n), M)
+    m = np.arange(M + 1)
+    exact = np.where(m % n == 0, n * r**m, 0.0)
+    assert np.max(np.abs(T - exact)) <= n * M * U
+
+
+def test_power_sums_match_mpmath_and_loop(rng):
+    mpmath = pytest.importorskip("mpmath")
+    n, ms = 64, (1, 7, 128, 129, 1000)
+    pts = random_disk_points(rng, n, 0.99)
+    T = power_sums(pts, max(ms))
+    loop = _power_sums_loop(pts, max(ms))
+    r = np.abs(pts)
+    with mpmath.workdps(50):
+        zs = [mpmath.mpc(complex(z)) for z in pts]
+        for m in ms:
+            exact = complex(mpmath.fsum(z**m for z in zs))
+            # the rounding bound of the product form: u (3m + 4 sqrt(n) + 4) sum r^m
+            bound = U * (3 * m + 4 * np.sqrt(n) + 4) * np.sum(r**m)
+            assert abs(T[m] - exact) <= bound, m
+            assert abs(T[m] - loop[m]) <= bound + U * (3 * m + n) * np.sum(r**m), m
+
+
+def _smooth_ring(n=1024, r=0.9875):
+    phi = 2 * np.pi * np.arange(n) / n
+    return r * np.exp(1j * (phi + 0.15 * np.sin(2 * phi) / n))
+
+
+@pytest.mark.parametrize("path, g", [("series", 8192), ("series", 16384), ("direct", 8192)])
+def test_grid_paths_match_pointwise_on_smooth_ring(path, g):
+    # the smooth_cli-sized ring under a monomial takes the series; one more
+    # zero at radius 1 - 1e-6 makes the series unaffordable for the whole set
+    from circlemaps import blaschke
+
+    ring = _smooth_ring()
+    if path == "series":
+        Q = BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring)
+    else:
+        Q = BlaschkeQuotient.make([*ring, (1 - 1e-6) * cmath.exp(0.3j)], [0.0] * len(ring))
+    for job in ("derivative", "arg"):
+        M = blaschke._plan(Q.numerator.zeros, Q.denominator.zeros, job)[3]
+        assert (M > 0) == (path == "series")
+    D = quotient_derivative_grid(Q, g)
+    vals = quotient_values_grid(Q, g)
+    for j in (0, 1, g // 7, g // 2 + 3, g - 1):
+        zeta = cmath.exp(2j * np.pi * j / g)
+        assert abs(D[j] - quotient_arg_derivative(Q, zeta)) < 1e-10
+        assert abs(vals[j] - Q(zeta)) < 1e-10
+
+
+def test_series_error_bound_covers_high_precision_derivative():
+    mpmath = pytest.importorskip("mpmath")
+    from circlemaps.blaschke import derivative_grid_error
+
+    ring = _smooth_ring()
+    Q = BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring)
+    g = 8192
+    D = quotient_derivative_grid(Q, g)
+    E = derivative_grid_error(Q, g)
+    assert 0.0 < E < 1e-7
+    with mpmath.workdps(30):
+        ws = [mpmath.mpc(complex(w)) for w in ring]
+        for j in (0, g // 5, g // 2 + 3):
+            zeta = mpmath.expjpi(mpmath.mpf(2 * j) / g)
+            exact = (len(ring) + 1) - mpmath.fsum((1 - abs(w) ** 2) / abs(zeta - w) ** 2 for w in ws)
+            assert abs(D[j] - float(exact)) <= E
+
+
+def test_smooth_cli_approximation_takes_no_direct_grid(monkeypatch):
+    # the Moebius map of the CLI smoke spec, approximated from above: every
+    # grid it evaluates has an affordable series
+    from circlemaps import blaschke
+    from circlemaps.approx import approximate_homeomorphism, as_circle_lift
+
+    calls = {"poisson_sum_grid": 0, "power_sums": 0}
+
+    def count(name):
+        fn = getattr(blaschke, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(blaschke, name, count(name))
+    res = approximate_homeomorphism(as_circle_lift(BlaschkeQuotient.make([-0.3], [], 1.0)), 0.05, "above")
+    assert res.certification.verdict == "Diffeomorphism"
+    assert calls["poisson_sum_grid"] == 0
+    assert calls["power_sums"] > 0
