@@ -70,8 +70,12 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
     with L the certified slope bound and the error bounded a priori on the
     series path (derivative_grid_error). Positivity gives Diffeomorphism, and
     hitting the 2^20 grid cap without a decision gives Inconclusive with the
-    best margin found.
+    best margin found. target_grid must be a power of two (the evaluation
+    error bound counts log2 of the grid's FFT stages); grids below 64 are
+    raised to 64.
     """
+    if target_grid < 1 or target_grid & (target_grid - 1):
+        raise ValueError(f"target_grid must be a power of two, got {target_grid}")
     g = max(64, target_grid)
     if Q.degree_difference != 1:
         D = quotient_derivative_grid(Q, g)
@@ -300,17 +304,28 @@ def embedding_check_sampled(mp) -> EmbeddingCheck:
     """Exact segment-segment test on the closed polygon through the samples.
 
     Adjacent segments may share only their common endpoint. Candidate pairs
-    come from a uniform spatial hash (cell size = longest segment), so the
-    test stays near-linear for the 2^16-point gallery curves.
+    come from a uniform grid of square cells: each segment is entered in
+    every cell its closed bounding box covers. The cell side is the mean
+    segment length, doubled until the covered cells number at most 64 per
+    segment, so memory stays O(m) when a few segments are very long. The
+    verdict does not depend on the cell side: floor(x / h) is monotone in
+    floating point, so two segments whose closed bounding boxes overlap
+    always share a cell, and the segment test reports only such pairs (it
+    requires overlapping boxes, which rounded orientations of nearly
+    collinear segments alone do not ensure). So the verdict and the witness,
+    the lexicographically first offending pair (i, j), i < j, are those of
+    the same test run on all pairs.
     """
     return _embedding_check(mp.values)
+
+
+_CELLS_PER_SEGMENT = 64
 
 
 def _embedding_check(values) -> EmbeddingCheck:
     """embedding_check_sampled on the closed polygon through complex vertices."""
     values = np.asarray(values)
     P = np.column_stack([values.real, values.imag])
-    m = len(P)
     A = P
     B = np.roll(P, -1, axis=0)
     seg = B - A
@@ -318,35 +333,9 @@ def _embedding_check(values) -> EmbeddingCheck:
     if np.any(lengths == 0.0):
         raise ValueError("degenerate zero-length segment in sampled polygon")
 
-    h = float(np.max(lengths))
-    lo = np.minimum(A, B)
-    hi = np.maximum(A, B)
-    c0 = np.floor(lo / h).astype(np.int64)
-    c1 = np.floor(hi / h).astype(np.int64)
-
-    buckets: dict = {}
-    for i in range(m):
-        for cx in range(c0[i, 0], c1[i, 0] + 1):
-            for cy in range(c0[i, 1], c1[i, 1] + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-
-    cand = set()
-    for ids in buckets.values():
-        t = len(ids)
-        if t < 2:
-            continue
-        for a in range(t):
-            ia = ids[a]
-            for b in range(a + 1, t):
-                ib = ids[b]
-                i, j = (ia, ib) if ia < ib else (ib, ia)
-                if j - i == 1 or (i == 0 and j == m - 1):
-                    continue  # adjacent segments share an endpoint by design
-                cand.add((i, j))
-    if not cand:
+    idx = _candidate_pairs(A, B, float(np.mean(lengths)))
+    if len(idx) == 0:
         return EmbeddingCheck(True)
-
-    idx = np.array(sorted(cand), dtype=np.int64)
     a1, a2 = A[idx[:, 0]], B[idx[:, 0]]
     b1, b2 = A[idx[:, 1]], B[idx[:, 1]]
 
@@ -357,7 +346,12 @@ def _embedding_check(values) -> EmbeddingCheck:
     d2 = cross(a2 - a1, b2 - a1)
     d3 = cross(b2 - b1, a1 - b1)
     d4 = cross(b2 - b1, a2 - b1)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    # rounded orientations of nearly collinear sides can have opposite signs
+    # although the sides lie apart; sides that cross have overlapping boxes
+    boxes = np.all(
+        (np.minimum(a1, a2) <= np.maximum(b1, b2)) & (np.minimum(b1, b2) <= np.maximum(a1, a2)), axis=1
+    )
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0) & boxes
 
     def on_seg(p, q, r):
         return (
@@ -378,3 +372,58 @@ def _embedding_check(values) -> EmbeddingCheck:
         k = int(np.argmax(bad))
         return EmbeddingCheck(False, (int(idx[k, 0]), int(idx[k, 1])))
     return EmbeddingCheck(True)
+
+
+def _candidate_pairs(A, B, h: float) -> np.ndarray:
+    """Non-adjacent segment pairs (i, j), i < j, whose bounding boxes share a cell.
+
+    Rows come in lexicographic order. Cells have side h, doubled until the
+    covered cells number at most _CELLS_PER_SEGMENT per segment and every
+    (cell, segment) code fits in int64. Cells are counted from the lower-left
+    corner of the polygon; a closed polygon's perimeter, m times the mean
+    segment length, is at least twice its width and its height, so at the
+    mean length no cell index exceeds m / 2.
+    """
+    m = len(A)
+    lo = np.minimum(A, B)
+    origin = lo.min(axis=0)
+    lo = lo - origin
+    hi = np.maximum(A, B) - origin
+    while True:
+        c0 = np.floor(lo / h).astype(np.int64)
+        c1 = np.floor(hi / h).astype(np.int64)
+        span = c1 - c0 + 1
+        counts = span[:, 0] * span[:, 1]
+        total = int(counts.sum())
+        rows = int(c1[:, 1].max()) + 1
+        if total <= _CELLS_PER_SEGMENT * m and (int(c1[:, 0].max()) + 1) * rows * m < 2**63:
+            break
+        h *= 2.0
+
+    # one code cell * m + segment per (segment, covered cell); sorting the
+    # codes orders the entries by cell, then by segment
+    seg_id = np.repeat(np.arange(m), counts)
+    k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    ny = np.repeat(span[:, 1], counts)
+    cell = (np.repeat(c0[:, 0], counts) + k // ny) * rows + np.repeat(c0[:, 1], counts) + k % ny
+    code = np.sort(cell * m + seg_id)
+    cell, seg_id = np.divmod(code, m)
+
+    # entries d apart in one cell pair up; an entry whose cell differs from
+    # the one d places on differs from every one farther on
+    pairs = []
+    p = np.arange(total)
+    for d in range(1, total):
+        p = p[p < total - d]
+        p = p[cell[p] == cell[p + d]]
+        if len(p) == 0:
+            break
+        i = seg_id[p]
+        j = seg_id[p + d]
+        keep = (j - i != 1) & ~((i == 0) & (j == m - 1))  # adjacent segments share an endpoint by design
+        pairs.append(i[keep] * m + j[keep])
+    # codes i * m + j sort lexicographically; np.unique hashes and is
+    # several times slower at these sizes
+    codes = np.sort(np.concatenate(pairs or [np.zeros(0, dtype=np.int64)]))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return np.column_stack(np.divmod(codes, m))

@@ -16,7 +16,8 @@ from .approx import ApproximationBudgetError, approximate_homeomorphism, as_circ
 from .blaschke import GridTooCoarseError, WindingInconsistencyError
 from .bounds import curvature_bound, heinz_report, horconvex_report
 from .certify import certify_quotient
-from .fourier import enclosed_area, fourier_coefficients, parseval_defect, spectrum_csv_rows, support
+from .fourier import (_check_grid_size, enclosed_area, fourier_coefficients, parseval_defect,
+                      spectrum_csv_rows, support)
 from .mapspec import MapSpecError, quotient_from_spec, sampled_from_spec, spec_from_quotient, validate
 from .svg import curve_svg
 
@@ -70,6 +71,10 @@ def cmd_fourier(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
+    try:
+        _check_grid_size(args.grid)
+    except ValueError as e:
+        raise MapSpecError(str(e))
     result = certify_quotient(quotient_from_spec(spec), args.grid)
     _write_json(result.to_json_dict(), args.out)
     return EXIT_OK

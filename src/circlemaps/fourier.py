@@ -92,7 +92,7 @@ def fourier_coefficients(mp: SampledCircleMap, tolerance: float = DEFAULT_SUPPOR
 def support(spec: FourierSpectrum) -> set:
     """Indices with |f_hat(n)| above the spectrum's tolerance."""
     mask = spec.abs() > spec.tolerance
-    return {int(n) for n in spec.ns[mask]}
+    return set(spec.ns[mask].tolist())
 
 
 def enclosed_area(spec: FourierSpectrum) -> float:

@@ -228,7 +228,7 @@ def _ring_quotient(n=256):
 
 @pytest.mark.parametrize("g", [4096, 2**18])
 def test_ring_grids_match_pointwise_evaluation(g):
-    # g = 4096 sums the derivative and values directly, 2^18 takes the series
+    # both grids take the series; test_grid_paths_match_pointwise_on_smooth_ring covers the direct path
     Q = _ring_quotient()
     D = quotient_derivative_grid(Q, g)
     args = quotient_arg_grid(Q, g)

@@ -2,9 +2,11 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlemaps.blaschke import BlaschkeQuotient, quotient_arg_derivative
 from circlemaps.certify import (
+    _embedding_check,
     DIFFEOMORPHISM,
     HOMEOMORPHISM_BOUNDARY,
     INCONCLUSIVE,
@@ -21,7 +23,14 @@ from circlemaps.certify import (
     terminating_family_quotient,
 )
 from circlemaps.fourier import SampledCircleMap, grid_theta
-from circlemaps.gallery import rational_family, star_embedding, StarParams
+from circlemaps.gallery import (
+    GapParams,
+    StarParams,
+    gap_embedding,
+    mobius_map,
+    rational_family,
+    star_embedding,
+)
 from conftest import random_disk_points, random_pseudo_instance
 
 
@@ -71,6 +80,13 @@ def test_degree_mismatch_is_not_homeomorphism(rng):
     assert certify_quotient(Q).verdict == NOT_HOMEOMORPHISM
     const = BlaschkeQuotient.make([], [], 1.0)
     assert certify_quotient(const).verdict == NOT_HOMEOMORPHISM
+
+
+def test_target_grid_must_be_power_of_two():
+    Q = quadratic_quotient(0.25)
+    with pytest.raises(ValueError, match="power of two"):
+        certify_quotient(Q, 1000)
+    assert certify_quotient(Q, 32).grid_size >= 64  # small grids are raised to 64
 
 
 def test_diffeomorphism_verdict_stable_under_refinement():
@@ -166,3 +182,155 @@ def test_embedding_check_rejects_degenerate():
     vals[10] = vals[11]
     with pytest.raises(ValueError):
         embedding_check_sampled(SampledCircleMap(vals))
+
+
+# ---------------------------------------------------------------------------
+# embedding check against an all-pairs reference
+
+
+def _all_pairs_check(values):
+    """O(m^2) reference: the segment test on every non-adjacent pair.
+
+    Row i tests segment i against every segment j > i + 1 (except the
+    pair (0, m - 1)), with the same floating-point formulas as the library,
+    so the first hit is the lexicographically first offending pair.
+    """
+    v = np.asarray(values, dtype=complex)
+    m = len(v)
+    A = np.column_stack([v.real, v.imag])
+    B = np.roll(A, -1, axis=0)
+
+    def cross(u, w):
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+    def on_seg(p, q, r):
+        return (
+            (np.minimum(p[..., 0], q[..., 0]) <= r[..., 0])
+            & (r[..., 0] <= np.maximum(p[..., 0], q[..., 0]))
+            & (np.minimum(p[..., 1], q[..., 1]) <= r[..., 1])
+            & (r[..., 1] <= np.maximum(p[..., 1], q[..., 1]))
+        )
+
+    for i in range(m):
+        j = np.arange(i + 2, m - 1 if i == 0 else m)
+        if len(j) == 0:
+            continue
+        a1, a2 = A[i], B[i]
+        b1, b2 = A[j], B[j]
+        d1 = cross(a2 - a1, b1 - a1)
+        d2 = cross(a2 - a1, b2 - a1)
+        d3 = cross(b2 - b1, a1 - b1)
+        d4 = cross(b2 - b1, a2 - b1)
+        boxes = np.all(
+            (np.minimum(a1, a2) <= np.maximum(b1, b2)) & (np.minimum(b1, b2) <= np.maximum(a1, a2)),
+            axis=-1,
+        )
+        proper = (d1 * d2 < 0) & (d3 * d4 < 0) & boxes
+        touch = (
+            ((d1 == 0) & on_seg(a1, a2, b1))
+            | ((d2 == 0) & on_seg(a1, a2, b2))
+            | ((d3 == 0) & on_seg(b1, b2, a1))
+            | ((d4 == 0) & on_seg(b1, b2, a2))
+        )
+        bad = proper | touch
+        if bad.any():
+            return False, (i, int(j[np.argmax(bad)]))
+    return True, None
+
+
+def _assert_matches_reference(values):
+    res = _embedding_check(values)
+    assert (res.simple, res.witness) == _all_pairs_check(values)
+    return res
+
+
+def _polygon(points):
+    return np.array([complex(x, y) for x, y in points])
+
+
+def _has_zero_length_side(v):
+    return bool(np.any(v == np.roll(v, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=14))
+def test_embedding_check_matches_all_pairs_on_lattice_polygons(points):
+    # small lattice coordinates make touches, T-junctions and collinear
+    # overlaps exact, so the degenerate branches of the test are exercised
+    v = _polygon(points)
+    if _has_zero_length_side(v):
+        with pytest.raises(ValueError):
+            _embedding_check(v)
+    else:
+        _assert_matches_reference(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=40))
+def test_embedding_check_matches_all_pairs_on_random_polygons(points):
+    v = _polygon(points)
+    if not _has_zero_length_side(v):
+        _assert_matches_reference(v)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_embedding_check_matches_all_pairs_on_star_polygons(seed):
+    # random radii around the circle: simple by construction, and a swap of
+    # two vertices usually makes it self-crossing
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 200))
+    v = rng.uniform(0.2, 1.0, m) * np.exp(2j * np.pi * (np.arange(m) + rng.uniform(0, 0.9, m)) / m)
+    assert _assert_matches_reference(v).simple
+    i, j = sorted(rng.choice(m, 2, replace=False))
+    v[[i, j]] = v[[j, i]]
+    _assert_matches_reference(v)
+
+
+@pytest.mark.parametrize(
+    "points, witness",
+    [
+        ([(0, 0), (4, 0), (0, 3)], None),  # triangle
+        ([(0, 0), (1, 1), (1, 0), (0, 1)], (0, 2)),  # bow-tie
+        ([(0, 0), (6, 0), (6, 4), (3, 0), (0, 4)], (0, 2)),  # vertex (3, 0) on side 0
+        ([(1, 0), (3, 0), (3, 1), (5, 1), (4, 0), (0, 0), (0, -1)], (0, 4)),  # side 4 covers side 0
+    ],
+    ids=["triangle", "bow-tie", "t-junction", "collinear-overlap"],
+)
+def test_embedding_check_small_polygons(points, witness):
+    res = _assert_matches_reference(_polygon(points))
+    assert res.simple == (witness is None)
+    assert res.witness == witness
+
+
+def test_embedding_check_nearly_collinear_sides_apart():
+    # sides 0 and 3 lie on one line up to rounding, 0.2 apart along it; the
+    # rounded orientations of their endpoints have opposite signs both ways
+    v = np.array([
+        0.3026449742590398 - 9.198752046238535j,
+        -1.7201215300847705 - 7.576026997236916j,
+        -2.114285663928505 - 7.9072710942993885j,
+        -1.8764029255925032 - 7.450653290168538j,
+        -3.13080751616853 - 6.444331628059209j,
+        -0.46601096268514164 - 6.63974898535889j,
+    ])
+    res = _assert_matches_reference(v)
+    assert res.simple and res.witness is None
+
+
+def test_embedding_check_matches_all_pairs_on_crowded_and_gallery_curves():
+    theta = grid_theta(256)
+    curves = [
+        mobius_map(0.95, 2**12).values,  # samples crowd near -0.95
+        star_embedding(StarParams(8.0, 1 / np.sqrt(3)), 2**12).values,
+        gap_embedding(GapParams(2), 2**12).values,
+        np.cos(theta) + 0.5j * np.sin(2 * theta),  # figure eight
+    ]
+    crossed = mobius_map(0.95, 2**12).values.copy()
+    crossed[[2040, 2050]] = crossed[[2050, 2040]]  # two crowded samples swapped
+    curves.append(crossed)
+    results = [_assert_matches_reference(v) for v in curves]
+    assert [r.simple for r in results] == [True, True, True, False, False]
+
+
+def test_embedding_check_crowded_mobius_samples():
+    assert embedding_check_sampled(mobius_map(0.99, 2**14)).simple

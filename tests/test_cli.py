@@ -100,6 +100,12 @@ def test_cli_certify_verdicts(tmp_path, capsys):
     assert "witness_theta" in payload
 
 
+def test_cli_certify_grid_not_power_of_two_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "id.json", IDENTITY)
+    assert main(["certify", "--spec", spec, "--grid", "1000"]) == 2
+    assert "grid size must be a power of two >= 64" in capsys.readouterr().err
+
+
 def test_cli_approximate_rotation(tmp_path, capsys):
     spec = write_spec(tmp_path, "rot.json",
                       {"type": "blaschke_quotient", "zeros": [[0.0, 0.0]],
