@@ -28,10 +28,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, as_disk, disk_array
+from .disk import TWO_PI, as_disk
 from .blaschke import (
     BlaschkeProduct,
     BlaschkeQuotient,
+    _ZeroSet,
+    _as_zero_set,
     poisson_sum_signed_grid,
     quotient_arg_grid,
     quotient_derivative_grid,
@@ -136,17 +138,18 @@ class PoissonCombination:
     positives: tuple
     negatives: tuple
     constant: int = 0
+    _positive_set: _ZeroSet = field(kw_only=True, compare=False, repr=False)
+    _negative_set: _ZeroSet = field(kw_only=True, compare=False, repr=False)
 
     @classmethod
     def make(cls, positives=(), negatives=(), constant: int = 0) -> "PoissonCombination":
-        return cls(
-            tuple(disk_array(positives).tolist()),
-            tuple(disk_array(negatives).tolist()),
-            int(constant),
-        )
+        """positives and negatives are disk points, or zero sets to share."""
+        p, q = _as_zero_set(positives), _as_zero_set(negatives)
+        return cls(tuple(p.zeros.tolist()), tuple(q.zeros.tolist()), int(constant),
+                   _positive_set=p, _negative_set=q)
 
     def evaluate_grid(self, g: int) -> np.ndarray:
-        return poisson_sum_signed_grid(self.positives, self.negatives, g) - self.constant
+        return poisson_sum_signed_grid(self._positive_set, self._negative_set, g) - self.constant
 
     def grid_mean(self, g: int = 4096) -> float:
         return float(np.mean(self.evaluate_grid(g)))
@@ -283,7 +286,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
             return comb, log
         n_neg = len(comb.negatives)
         g_d = max(8192, _next_pow2(4 * n_neg))
-        defect = sup_norm(poisson_sum_signed_grid(comb.negatives, (), g_d) - n_neg)
+        defect = sup_norm(poisson_sum_signed_grid(comb._negative_set, (), g_d) - n_neg)
         if defect < eps / 2.0:
             break
         # the pair budget allows a ring too sparse to stand alone as the
@@ -294,7 +297,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
                 f"negative ring defect {defect:.3e} exceeds eps/2 at the ring cap"
             )
         min_n = 2 * n_neg
-    out = PoissonCombination.make(comb.positives, (), n_neg)
+    out = PoissonCombination.make(comb._positive_set, (), n_neg)
     g_v = _verify_grid_size(log.get("verify_grid", MIN_VERIFY_GRID) // 4 or 1024)
     err = sup_norm(out.evaluate_grid(g_v) - _to_series(h, grid).resample(g_v))
     if err >= eps:
@@ -317,12 +320,12 @@ def quotient_from_combination(u, comb: PoissonCombination, sigma_anchor: bool = 
     if comb.constant != 0:
         raise ValueError("represent the constant as kernels at the origin first")
     u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
-    q0 = BlaschkeQuotient.make(comb.positives, comb.negatives, 1.0)
+    q0 = BlaschkeQuotient.make(comb._positive_set, comb._negative_set, 1.0)
     if sigma_anchor:
         u0 = float(np.atleast_1d(u.value(0.0))[0])
         v0 = q0(1.0)
         sigma = np.exp(1j * (u0 - np.angle(v0)))
-        q0 = BlaschkeQuotient.make(comb.positives, comb.negatives, sigma)
+        q0 = BlaschkeQuotient.make(comb._positive_set, comb._negative_set, sigma)
     return q0
 
 
@@ -373,7 +376,7 @@ def approximate_c1(u, eps: float, grid: int = 4096) -> C1ApproxResult:
     for _ in range(4):
         comb, log = kernel_sum_approximation(hs, eps_k, grid)
         n = len(comb.positives)
-        comb0 = PoissonCombination.make(comb.positives, (0.0,) * n, 0)
+        comb0 = PoissonCombination.make(comb._positive_set, (0.0,) * n, 0)
         Q = quotient_from_combination(u, comb0)
         g_v = _verify_grid_size(max(grid, n, us.m))
         sup_e, der_e = measure_c1_error(u, Q, g_v)
@@ -571,7 +574,7 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
     for _ in range(5):
         comb, log = kernel_sum_approximation(hs, eps_k, grid)
         n = len(comb.positives)
-        comb0 = PoissonCombination.make(comb.positives, (0.0,) * n, 0)
+        comb0 = PoissonCombination.make(comb._positive_set, (0.0,) * n, 0)
         Qn = quotient_from_combination(u, comb0)
         sup_e, der_e = measure_c1_error(u, Qn, _verify_grid_size(max(grid, n, u_series.m)))
         if der_e < margin and sup_e <= sup_budget:
@@ -587,9 +590,9 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
         if n == 0:
             Q = BlaschkeQuotient.make([0.0], [], sigma)
         else:
-            Q = BlaschkeQuotient.make(Qn.numerator.zeros, (0.0,) * (n - 1), sigma)
+            Q = BlaschkeQuotient.make(Qn.numerator._zero_set, (0.0,) * (n - 1), sigma)
     else:
-        Q = BlaschkeQuotient.make((0.0,) * (n + 1), Qn.numerator.zeros, np.conjugate(sigma))
+        Q = BlaschkeQuotient.make((0.0,) * (n + 1), Qn.numerator._zero_set, np.conjugate(sigma))
 
     cert = certify_quotient(Q)
     if cert.verdict != DIFFEOMORPHISM:

@@ -6,30 +6,30 @@ the derivative of its argument is the sum of Poisson kernels at the zeros,
 which makes quotients of two products the natural carrier for circle
 homeomorphism checks.
 
-Zeros are held as a read-only complex array, validated once when a product
-is made. The approximation quotients B(zeta)/zeta^(n-1) and zeta^(n+1)/B(zeta)
-carry their monomial as zeros at the origin; every grid evaluation splits
-those off as an integer degree d, which adds d to the argument derivative,
-d*theta to the argument, zeta^d to the values and nothing to any power sum
-of order m >= 1, so the sums run over nonzero points only. On the uniform
-circle grid of size g, the nonzero points have two evaluation paths. The
-power-sum path expands the log-factors into the series
-theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k z_k^m, evaluated by
-one FFT; the power sums themselves are one blocked matrix product. The series
-is a trigonometric polynomial up to a tail bounded in closed form, so it
-scales to quotients with tens of thousands of zeros near the boundary. The
-direct path sums Poisson kernels, factors or factor arguments, O(n*g). One
-function, _plan, makes the split, sizes the series for each job and takes it
-whenever it is affordable, on every grid; derivative_grid_error bounds the
-derivative series' tail and rounding a priori for the certifier. Where the
-series is unaffordable, the derivative and the values sum directly and the
-argument uses the closed form 2 sum arg(1 - z_k e^{-i theta}), whose terms
-are principal values in (-pi/2, pi/2) and so continuous on any grid.
+Each product validates its zeros once into a _ZeroSet, shared by the
+products and combinations built from the same zeros. It splits off the zeros
+at the origin, where the approximation quotients B(zeta)/zeta^(n-1) and
+zeta^(n+1)/B(zeta) carry their monomial, as an integer degree d: it adds d
+to the argument derivative, d*theta to the argument, zeta^d to the values
+and nothing to any power sum of order m >= 1. On the uniform circle grid of
+size g, the nonzero points have two evaluation paths. The power-sum path
+expands the log-factors into the series theta - 2 sum_m Im(T_m e^{-im theta})/m
+with T_m = sum_k z_k^m, evaluated by one FFT. The power sums are one blocked
+matrix product per zero set, at the largest order any job asks of it, with
+no cache. The series is a trigonometric polynomial up to a tail bounded in
+closed form, so it scales to quotients with tens of thousands of zeros near
+the boundary. The direct path sums Poisson kernels, factors or factor
+arguments, O(n*g). _plan sizes the series for each job and takes it whenever
+it is affordable, on every grid; derivative_grid_error bounds the derivative
+series' tail and rounding a priori for the certifier. Where the series is
+unaffordable, the derivative and the values sum directly and the argument
+uses the closed form 2 sum arg(1 - z_k e^{-i theta}), whose terms are
+principal values in (-pi/2, pi/2) and so continuous on any grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import cmath
 import math
 from typing import Sequence
@@ -53,17 +53,36 @@ class WindingInconsistencyError(RuntimeError):
     """Integrated argument derivative is not near a multiple of 2*pi."""
 
 
+class _ZeroSet:
+    """A validated zero array and what the series read from it, each taken once."""
+
+    def __init__(self, zeros: np.ndarray):
+        self.zeros = zeros
+        self.points = zeros[zeros != 0]
+        self.at_origin = len(zeros) - len(self.points)
+        self.radius = float(np.abs(self.points).max(initial=0.0))
+        self.sums = np.zeros(1, dtype=complex)
+
+
+def _as_zero_set(zeros) -> _ZeroSet:
+    """zeros itself if it is a _ZeroSet, else a holder of the validated points."""
+    return zeros if isinstance(zeros, _ZeroSet) else _ZeroSet(disk_array(zeros))
+
+
 @dataclass(frozen=True, eq=False)
 class BlaschkeProduct:
     zeros: np.ndarray  # read-only complex array, |z_k| < 1 - 1e-12
     sigma: complex
+    _zero_set: _ZeroSet = field(repr=False)
 
     @classmethod
     def make(cls, zeros=(), sigma=1.0) -> "BlaschkeProduct":
+        """zeros are disk points, or another product's _ZeroSet to share."""
         s = _as_complex(sigma)
         if not 0.0 < abs(s) < math.inf:
             raise ValueError(f"sigma must be a finite nonzero number, got {s}")
-        return cls(disk_array(zeros), s / abs(s))
+        zs = _as_zero_set(zeros)
+        return cls(zs.zeros, s / abs(s), zs)
 
     @property
     def degree(self) -> int:
@@ -89,24 +108,23 @@ class BlaschkeQuotient:
     def _check_no_common_zero(self):
         zn = np.unique(self.numerator.zeros)
         zd = np.unique(self.denominator.zeros)
-        if len(zn) == 0 or len(zd) == 0:
-            return
-        # pseudo-hyperbolic distance below 1e-12 forces |z - w| < 2e-12, so a
-        # sorted sweep over the merged deduplicated lists finds every candidate.
-        merged = np.concatenate([zn, zd])
-        labels = np.concatenate([np.zeros(len(zn), int), np.ones(len(zd), int)])
-        order = np.lexsort((merged.imag, merged.real))
-        merged, labels = merged[order], labels[order]
-        for i in range(len(merged) - 1):
-            j = i + 1
-            while j < len(merged) and merged[j].real - merged[i].real < 5e-12:
-                if labels[i] != labels[j] and abs(merged[i] - merged[j]) < 5e-12:
-                    d = abs(merged[i] - merged[j]) / abs(1 - merged[i] * merged[j].conjugate())
-                    if d < COMMON_ZERO_TOL:
-                        raise ValueError(
-                            f"numerator and denominator share a zero near {merged[i]}"
-                        )
-                j += 1
+        # a pseudo-hyperbolic distance below 1e-12 forces |z - w| < 2e-12; pair
+        # sorted entries d apart until no real parts d apart differ by < 5e-12
+        z = np.concatenate([zn, zd])
+        order = np.lexsort((z.imag, z.real))
+        z, side = z[order], order >= len(zn)
+        hits = []
+        p = np.arange(len(z))
+        for d in range(1, len(z)):
+            p = p[p < len(z) - d]
+            p = p[z[p + d].real - z[p].real < 5e-12]
+            if len(p) == 0:
+                break
+            k = p[(side[p] != side[p + d]) & (np.abs(z[p] - z[p + d]) < 5e-12)]
+            dist = np.abs(z[k] - z[k + d]) / np.abs(1 - z[k] * z[k + d].conjugate())
+            hits.extend(k[dist < COMMON_ZERO_TOL])
+        if hits:
+            raise ValueError(f"numerator and denominator share a zero near {z[min(hits)]}")
 
     @property
     def degree_difference(self) -> int:
@@ -151,20 +169,19 @@ def quotient_arg_derivative(Q: BlaschkeQuotient, zeta) -> float:
 # ---------------------------------------------------------------------------
 # power-sum (moment) machinery
 
-_POWER_CACHE: "OrderedDict[tuple, np.ndarray]" = None  # initialized below
+def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
+    """T[m] = sum_k z_k^m for m = 0..M (T[0] = n) as T[qb + j] = sum_k (z_k^b)^q z_k^j.
 
-
-def _power_sums_raw(pts: np.ndarray, M: int) -> np.ndarray:
-    """T[m] = sum_k z_k^m for m = 0..M as T[qb + j] = sum_k (z_k^b)^q z_k^j.
-
-    P holds z^1..z^b (one cumprod along each row), W holds z^0, z^b, z^2b, ...
-    (one cumprod down the columns, chunked over its rows and continued from
-    the last row), and each chunk of T is the product W @ P. The points are
+    No cache: _signed_power_sums calls this once per zero set. P holds
+    z^1..z^b (one cumprod along each row), W holds z^0, z^b, z^2b, ... (one
+    cumprod down the columns, chunked over its rows and continued from the
+    last row), and each chunk of T is the product W @ P. The points are
     summed in groups of G = ceil(sqrt(n)), one product per group added in
     turn, so a sum carries at most G + n/G additions, not n (the rounding
     this leaves is bounded in derivative_grid_error). P and each chunk of W
     hold at most _BLOCK complex numbers (32 MB).
     """
+    pts = np.ascontiguousarray(points, dtype=complex)
     out = np.zeros(M + 1, dtype=complex)
     n = len(pts)
     out[0] = n
@@ -189,42 +206,13 @@ def _power_sums_raw(pts: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
-    """T[m] = sum_k z_k^m for m = 0..M (T[0] = number of points).
-
-    Results are cached by content hash: the certification and approximation
-    paths ask for the same large point sets repeatedly.
-    """
-    global _POWER_CACHE
-    pts = np.ascontiguousarray(points, dtype=complex)
-    if len(pts) * M < 1_000_000:
-        return _power_sums_raw(pts, M)
-    if _POWER_CACHE is None:
-        from collections import OrderedDict
-
-        _POWER_CACHE = OrderedDict()
-    import hashlib
-
-    key = (len(pts), hashlib.sha1(pts.tobytes()).digest())
-    hit = _POWER_CACHE.get(key)
-    if hit is not None and len(hit) >= M + 1:
-        _POWER_CACHE.move_to_end(key)
-        return hit[: M + 1]
-    out = _power_sums_raw(pts, M)
-    _POWER_CACHE[key] = out
-    _POWER_CACHE.move_to_end(key)
-    while len(_POWER_CACHE) > 12:
-        _POWER_CACHE.popitem(last=False)
-    return out
-
-
 def _plan(pos, neg, job: str):
     """How to evaluate a signed sum over pos and neg on a uniform grid.
 
-    Returns (zp, zn, d, M). Exact zeros at the origin are split off as the
-    monomial degree d (their count in pos minus their count in neg), so zp
-    and zn hold only nonzero points. M is the order of the power-sum series,
-    sized for the job from the max radius r over the n nonzero points:
+    pos and neg are zero sets or disk points. Returns (p, q, d, M): their
+    zero sets, the monomial degree d (zeros at the origin in pos minus those
+    in neg) and the order M of the power-sum series, sized for the job from
+    the max radius r over the n nonzero points:
     * "arg" (argument and values): 2 n r^(M+1) <= tol, which bounds the tail
       2 sum_{m>M} |S_m|/m <= 2 n r^(M+1)/((M+1)(1-r)) by tol, as
       (M+1)(1-r) >= 1 for every such M;
@@ -234,22 +222,19 @@ def _plan(pos, neg, job: str):
     Every job takes the series when it is affordable, whatever the grid; a
     series with n*M > 2e9 or M > 2^22 is not, and gives M = 0 (direct sums).
     """
-    zp = np.asarray(pos, dtype=complex)
-    zn = np.asarray(neg, dtype=complex)
-    d = len(zp) - len(zn)
-    zp, zn = zp[zp != 0], zn[zn != 0]
-    d -= len(zp) - len(zn)
-    n = len(zp) + len(zn)
+    p, q = _as_zero_set(pos), _as_zero_set(neg)
+    d = p.at_origin - q.at_origin
+    n = len(p.points) + len(q.points)
     if n == 0:
-        return zp, zn, d, 0
-    r = max(np.abs(zp).max(initial=0.0), np.abs(zn).max(initial=0.0))
+        return p, q, d, 0
+    r = max(p.radius, q.radius)
     tol = 1e-9 if job == "slope" else _SERIES_TAIL_TOL
     if job == "derivative":
         tol *= 1.0 - r
     M = int(math.ceil(math.log(max(2.0 * n / tol, 4.0)) / -math.log(r))) + 1
     if job == "slope":
         M = int(M * 1.2) + 8
-    return zp, zn, d, (M if n * M <= 2_000_000_000 and M <= 2**22 else 0)
+    return p, q, d, (M if n * M <= 2_000_000_000 and M <= 2**22 else 0)
 
 
 def _fft_size(g: int, M: int) -> int:
@@ -273,9 +258,14 @@ def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
     return np.fft.fft(c)[:: ge // g]
 
 
-def _signed_power_sums(pos: np.ndarray, neg: np.ndarray, M: int) -> np.ndarray:
+def _signed_power_sums(p: _ZeroSet, q: _ZeroSet, M: int) -> np.ndarray:
     """S_m = sum z_k^m - sum w_k^m for m = 1..M."""
-    return power_sums(pos, M)[1:] - power_sums(neg, M)[1:]
+    # a set short of order M computes its sums to the largest order any job asks of the pair
+    order = max(_plan(p, q, job)[3] for job in ("derivative", "arg", "slope"))
+    for zs in (p, q):
+        if len(zs.sums) <= M:
+            zs.sums = power_sums(zs.points, order)
+    return p.sums[1 : M + 1] - q.sums[1 : M + 1]
 
 
 def _arg_sum_grid(points: np.ndarray, g: int) -> np.ndarray:
@@ -297,20 +287,20 @@ def poisson_sum_signed_grid(pos, neg, g: int) -> np.ndarray:
 
     A point at the origin has the kernel 1, so it only shifts the sum.
     """
-    zp, zn, d, M = _plan(pos, neg, "derivative")
+    p, q, d, M = _plan(pos, neg, "derivative")
     if M:
-        return (len(zp) - len(zn) + d) + 2.0 * _series_on_grid(_signed_power_sums(zp, zn, M), g).real
+        return (len(p.zeros) - len(q.zeros)) + 2.0 * _series_on_grid(_signed_power_sums(p, q, M), g).real
     out = np.full(g, float(d))
-    if len(zp):
-        out += poisson_sum_grid(zp, g)
-    if len(zn):
-        out -= poisson_sum_grid(zn, g)
+    if len(p.points):
+        out += poisson_sum_grid(p.points, g)
+    if len(q.points):
+        out -= poisson_sum_grid(q.points, g)
     return out
 
 
 def quotient_derivative_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Argument derivative of the quotient on the uniform grid of size g."""
-    return poisson_sum_signed_grid(Q.numerator.zeros, Q.denominator.zeros, g)
+    return poisson_sum_signed_grid(Q.numerator._zero_set, Q.denominator._zero_set, g)
 
 
 def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
@@ -323,7 +313,7 @@ def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
     error has three parts:
     * the tail 2 sum_{m>M} |S_m| <= 2 sum_k r_k^(M+1)/(1-r_k), below the
       series tolerance by the order _plan chose;
-    * rounding in S_m. _power_sums_raw forms z^m as W[q] P[j] from a chain
+    * rounding in S_m. power_sums forms z^m as W[q] P[j] from a chain
       of m - 1 complex products, each off by under 3u relatively (sqrt(2)
       gamma_2, Higham section 3.6). The product W @ P sums groups of G <=
       sqrt(n) + 1 points; a complex dot product of length G is two real ones
@@ -343,16 +333,16 @@ def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
     t = ceil(log2 N) counts the stages of power-of-two sizes N, the ones
     the CLI asks for and the pipeline uses; other sizes are not covered.
     """
-    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "derivative")
+    p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "derivative")
     if not M:
         return 0.0
-    r = np.abs(np.concatenate([zp, zn]))
+    r = np.abs(np.concatenate([p.points, q.points]))
     s1 = float(np.sum(r / (1.0 - r)))
     s2 = float(np.sum(r / (1.0 - r) ** 2))
     tail = 2.0 * float(np.sum(r ** (M + 1) / (1.0 - r)))
-    power = 2.0 * _U * (3.0 * s2 + (4.0 * math.sqrt(max(len(zp), len(zn))) + 4.0) * s1)
+    power = 2.0 * _U * (3.0 * s2 + (4.0 * math.sqrt(max(len(p.points), len(q.points))) + 4.0) * s1)
     t = (_fft_size(g, M) - 1).bit_length()
-    fft = 2.0 * 7.0 * t * _U * s1 + _U * (abs(len(zp) - len(zn) + d) + 2.0 * s1)
+    fft = 2.0 * 7.0 * t * _U * s1 + _U * (abs(len(p.zeros) - len(q.zeros)) + 2.0 * s1)
     return 1.05 * (tail + power + fft)
 
 
@@ -365,11 +355,16 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     branches on any grid. Anchored so that the value at theta = 0 is the
     principal argument of Q(1).
     """
-    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "arg")
+    p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
+    return _arg_grid(Q, p, q, M, g)
+
+
+def _arg_grid(Q: BlaschkeQuotient, p: _ZeroSet, q: _ZeroSet, M: int, g: int) -> np.ndarray:
+    """quotient_arg_grid on the "arg" plan of Q."""
     if M:
-        core = -2.0 * _series_on_grid(_signed_power_sums(zp, zn, M) / np.arange(1, M + 1), g).imag
+        core = -2.0 * _series_on_grid(_signed_power_sums(p, q, M) / np.arange(1, M + 1), g).imag
     else:
-        core = _arg_sum_grid(zp, g) - _arg_sum_grid(zn, g)
+        core = _arg_sum_grid(p.points, g) - _arg_sum_grid(q.points, g)
     theta = np.arange(g) * (TWO_PI / g)
     sigma_arg = cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
     vals = sigma_arg + Q.degree_difference * theta + core
@@ -383,17 +378,17 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
 
 def quotient_values_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """Samples Q(e^{2 pi i j / g}); unimodular up to rounding."""
-    zp, zn, d, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "arg")
+    p, q, d, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
     if M:
-        return np.exp(1j * quotient_arg_grid(Q, g))
+        return np.exp(1j * _arg_grid(Q, p, q, M, g))
     zeta = np.exp(1j * np.arange(g) * (TWO_PI / g))
     out = np.full(g, complex(Q.numerator.sigma / Q.denominator.sigma), dtype=complex)
     if d:
         # zeta_j^d from the exact index d*j mod g
         out *= np.exp(1j * (TWO_PI / g) * (d * np.arange(g) % g))
-    for zk in zp:
+    for zk in p.points:
         out *= (zeta - zk) / (1.0 - np.conjugate(zk) * zeta)
-    for wk in zn:
+    for wk in q.points:
         out *= (1.0 - np.conjugate(wk) * zeta) / (zeta - wk)
     return out
 
@@ -421,14 +416,14 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
     (bound, M). Falls back to the per-point bound (returning M = 0) when the
     series would be too long to be worth it.
     """
-    zp, zn, _, M = _plan(Q.numerator.zeros, Q.denominator.zeros, "slope")
+    p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "slope")
     if not M:
         return derivative_lipschitz_pointwise(Q), 0
-    S = _signed_power_sums(zp, zn, M)
+    S = _signed_power_sums(p, q, M)
     m = np.arange(1, M + 1)
     bound = 2.0 * float(np.sum(m * np.abs(S)))
     # tail: 2 * sum_k sum_{m>M} m r^m = 2 * sum_k r^{M+1}((M+1) - M r)/(1-r)^2
-    r = np.abs(np.concatenate([zp, zn]))
+    r = np.abs(np.concatenate([p.points, q.points]))
     tail = 2.0 * float(np.sum(r ** (M + 1) * ((M + 1) - M * r) / (1.0 - r) ** 2))
     return bound + tail, M
 

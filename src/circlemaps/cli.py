@@ -37,7 +37,8 @@ def _load_spec(path: str) -> dict:
 
 
 def _write_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    # compact: with indent, json falls back to its pure-Python encoder
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     print(text)

@@ -120,6 +120,16 @@ def test_common_zero_rejected():
         BlaschkeQuotient.make([0.3 + 0.1j, 0.2], [0.3 + 0.1j], 1.0)
 
 
+def test_common_zero_check_separates_prefilter_from_pseudo_hyperbolic_test(rng):
+    # a pole 4e-12 from a zero passes the 5e-12 prefilter, but their
+    # pseudo-hyperbolic distance is at least 4e-12 > COMMON_ZERO_TOL
+    zeros = random_disk_points(rng, 1000, 0.5)
+    z = zeros[617]
+    with pytest.raises(ValueError, match="share a zero"):
+        BlaschkeQuotient.make(zeros, [z + 1e-13], 1.0)
+    BlaschkeQuotient.make(zeros, [z + 4e-12j], 1.0)
+
+
 def test_winding_degrees(rng):
     for deg in (1, 2, 4):
         B = BlaschkeQuotient.make(list(random_disk_points(rng, deg, 0.6)), [], 1.0)
@@ -260,6 +270,50 @@ def test_grid_sums_skip_zeros_at_origin(monkeypatch):
     quotient_values_grid(Q, 2**18)
     assert sum(len(p) for p in seen) > 0
     assert not any(np.any(p == 0) for p in seen)
+
+
+def _count_power_sums(monkeypatch):
+    """Calls of blaschke.power_sums per nonempty point set, keyed by its bytes."""
+    from collections import Counter
+
+    from circlemaps import blaschke
+
+    seen = Counter()
+    fn = blaschke.power_sums
+
+    def spy(points, M):
+        pts = np.ascontiguousarray(points, dtype=complex)
+        if len(pts):
+            seen[pts.tobytes()] += 1
+        return fn(points, M)
+
+    monkeypatch.setattr(blaschke, "power_sums", spy)
+    return seen
+
+
+def test_certification_sums_each_zero_set_once(monkeypatch, rng):
+    from circlemaps.certify import certify_quotient
+    from circlemaps.gallery import rational_family
+    from conftest import random_pseudo_instance
+
+    seen = _count_power_sums(monkeypatch)
+    z, w = random_pseudo_instance(rng, 3)
+    assert certify_quotient(BlaschkeQuotient.make(z, w, 1.0)).verdict == "Diffeomorphism"
+    assert len(seen) == 2 and max(seen.values()) == 1
+    seen.clear()
+    Q = _ring_quotient()
+    assert certify_quotient(Q).verdict == "Diffeomorphism"
+    rational_family(Q, 4096)
+    assert len(seen) == 1 and max(seen.values()) == 1
+
+
+def test_smooth_cli_approximation_sums_each_zero_set_once(monkeypatch):
+    from circlemaps.approx import approximate_homeomorphism, as_circle_lift
+
+    seen = _count_power_sums(monkeypatch)
+    res = approximate_homeomorphism(as_circle_lift(BlaschkeQuotient.make([-0.3], [], 1.0)), 0.05, "above")
+    assert res.certification.verdict == "Diffeomorphism"
+    assert seen and max(seen.values()) == 1
 
 
 U = 2.0**-53

@@ -1,4 +1,8 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +208,16 @@ def test_cli_malformed_spec_exits_2(tmp_path, capsys, name):
     for cmd in ("fourier", "certify", "approximate", "figure", "bounds"):
         assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
         assert "input error" in capsys.readouterr().err, cmd
+
+
+def test_runtime_imports_only_numpy():
+    # scipy, mpmath and hypothesis serve the tests only; importing the package must not load them
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, circlemaps, circlemaps.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
