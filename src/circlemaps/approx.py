@@ -73,10 +73,10 @@ class PeriodicC1Function:
     series: Optional[TrigSeries] = None
 
     @classmethod
-    def from_callable(cls, value: Callable, derivative: Optional[Callable] = None,
-                      fd_step: float = 1e-6) -> "PeriodicC1Function":
+    def from_callable(cls, value: Callable, derivative: Optional[Callable] = None) -> "PeriodicC1Function":
+        """Without a derivative, central differences of step 1e-6 stand in for it."""
         if derivative is None:
-            def derivative(theta, _v=value, _h=fd_step):
+            def derivative(theta, _v=value, _h=1e-6):
                 return (_v(np.asarray(theta) + _h) - _v(np.asarray(theta) - _h)) / (2 * _h)
         return cls(value, derivative)
 
@@ -257,15 +257,14 @@ def kernel_ring_split(w0, eps: float):
     return n, rotations
 
 
-def ring_defect(w0, rotations, g: int = 0) -> float:
+def ring_defect(w0, rotations) -> float:
     """Measured sup of |P(w0,.) + sum P(rot,.) - n| on a grid.
 
-    The defect oscillates at the ring frequency, so the default grid scales
-    with the ring size to resolve the peaks.
+    The defect oscillates at the ring frequency, so the grid scales with the
+    ring size to resolve the peaks.
     """
     pts = np.asarray([w0, *rotations], dtype=complex)
-    if g == 0:
-        g = max(8192, _next_pow2(4 * len(pts)))
+    g = max(8192, _next_pow2(4 * len(pts)))
     vals = poisson_sum_signed_grid(pts, (), g) - len(pts)
     return sup_norm(vals)
 
@@ -309,7 +308,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
 # ---------------------------------------------------------------------------
 # from combinations to quotients
 
-def quotient_from_combination(u, comb: PoissonCombination, sigma_anchor: bool = True) -> BlaschkeQuotient:
+def quotient_from_combination(u, comb: PoissonCombination) -> BlaschkeQuotient:
     """Assemble the Blaschke quotient whose argument derivative is the combination.
 
     Numerator zeros are the positives, denominator zeros the negatives; the
@@ -320,13 +319,11 @@ def quotient_from_combination(u, comb: PoissonCombination, sigma_anchor: bool = 
     if comb.constant != 0:
         raise ValueError("represent the constant as kernels at the origin first")
     u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
-    q0 = BlaschkeQuotient.make(comb._positive_set, comb._negative_set, 1.0)
-    if sigma_anchor:
-        u0 = float(np.atleast_1d(u.value(0.0))[0])
-        v0 = q0(1.0)
-        sigma = np.exp(1j * (u0 - np.angle(v0)))
-        q0 = BlaschkeQuotient.make(comb._positive_set, comb._negative_set, sigma)
-    return q0
+    u0 = float(np.atleast_1d(u.value(0.0))[0])
+    # Q(1) at sigma = 1 from the two products, so that the quotient is built once
+    v0 = BlaschkeProduct.make(comb._positive_set)(1.0) / BlaschkeProduct.make(comb._negative_set)(1.0)
+    sigma = np.exp(1j * (u0 - np.angle(v0)))
+    return BlaschkeQuotient.make(comb._positive_set, comb._negative_set, sigma)
 
 
 def measure_c1_error(u, Q: BlaschkeQuotient, g: int = MIN_VERIFY_GRID):
@@ -361,33 +358,45 @@ class C1ApproxResult:
         return self.sup_error + self.derivative_error
 
 
+def _fit_c1(u: PeriodicC1Function, eps_k: float, grid: int, tries: int, shrink: float,
+            accept: Callable[[float, float], bool]):
+    """Fit arg(B(zeta)/zeta^n) to u in C1, shrinking the kernel budget between tries.
+
+    Each try approximates u' by a kernel sum at budget eps_k, builds the
+    quotient of its zeros over zeta^n anchored to u and measures its C1 error
+    on the verification grid; accept(sup_error, derivative_error) ends the
+    search, else eps_k is multiplied by shrink. Returns the last try, its log
+    holding eps_kernel and verify_grid, and whether it was accepted.
+    """
+    us = u.as_series(grid)
+    hs = us.derivative()
+    for _ in range(tries):
+        comb, log = kernel_sum_approximation(hs, eps_k, grid)
+        n = len(comb.positives)
+        Q = quotient_from_combination(u, PoissonCombination.make(comb._positive_set, (0.0,) * n, 0))
+        g_v = _verify_grid_size(max(grid, n, us.m))
+        sup_e, der_e = measure_c1_error(u, Q, g_v)
+        fit = C1ApproxResult(Q.numerator, n, Q, sup_e, der_e, dict(log, eps_kernel=eps_k, verify_grid=g_v))
+        if accept(sup_e, der_e):
+            return fit, True
+        eps_k *= shrink
+    return fit, False
+
+
 def approximate_c1(u, eps: float, grid: int = 4096) -> C1ApproxResult:
     """C1-approximate a smooth periodic function by arg(B(zeta)/zeta^n).
 
     n equals the degree of B. The kernel budget starts at eps/(pi+1), the
     factor the mean value theorem loses when integrating the derivative
-    error, and shrinks if the measured C1 error still exceeds eps.
+    error, and halves if the measured C1 error still exceeds eps.
     """
     u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
-    us = u.as_series(grid)
-    hs = us.derivative()
-    eps_k = 0.98 * eps / (math.pi + 1.0)
-    last = None
-    for _ in range(4):
-        comb, log = kernel_sum_approximation(hs, eps_k, grid)
-        n = len(comb.positives)
-        comb0 = PoissonCombination.make(comb._positive_set, (0.0,) * n, 0)
-        Q = quotient_from_combination(u, comb0)
-        g_v = _verify_grid_size(max(grid, n, us.m))
-        sup_e, der_e = measure_c1_error(u, Q, g_v)
-        last = C1ApproxResult(Q.numerator, n, Q, sup_e, der_e,
-                              dict(log, eps_kernel=eps_k, verify_grid=g_v))
-        if sup_e + der_e < eps:
-            return last
-        eps_k *= 0.5
-    raise ApproximationBudgetError(
-        f"C1 error {last.c1_error:.3e} still above eps = {eps:.3e} after retries"
-    )
+    fit, ok = _fit_c1(u, 0.98 * eps / (math.pi + 1.0), grid, 4, 0.5, lambda s, d: s + d < eps)
+    if not ok:
+        raise ApproximationBudgetError(
+            f"C1 error {fit.c1_error:.3e} still above eps = {eps:.3e} after retries"
+        )
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +462,11 @@ class CircleLift:
         return cls(PeriodicC1Function.from_callable(psi))
 
     @classmethod
-    def from_quotient(cls, Q: BlaschkeQuotient, grid: int = 8192) -> "CircleLift":
+    def from_quotient(cls, Q: BlaschkeQuotient) -> "CircleLift":
+        """The lift of Q through the series of its argument on 8192 points."""
         if Q.degree_difference != 1:
             raise ValueError("a circle homeomorphism quotient needs degree difference 1")
-        vals = quotient_arg_grid(Q, grid) - grid_theta(grid)
+        vals = quotient_arg_grid(Q, 8192) - grid_theta(8192)
         return cls.from_series(TrigSeries.from_samples(vals))
 
     def value(self, theta):
@@ -547,7 +557,6 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
         raise ValueError("input lift is not strictly increasing (not sense-preserving)")
 
     g_chk = MIN_VERIFY_GRID
-    theta_chk = grid_theta(g_chk)
     psi_raw = lift.psi_grid(g_chk)
     eta = 0.3
     while True:
@@ -564,42 +573,27 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
             )
 
     psi_s = smooth.psi.series
-    u_series = psi_s if direction == "below" else TrigSeries(-psi_s.coef)
-    u = PeriodicC1Function.from_series(u_series)
-    hs = u_series.derivative()
-
+    u = PeriodicC1Function.from_series(psi_s if direction == "below" else TrigSeries(-psi_s.coef))
     sup_budget = 0.8 * (eps - moll_err)
     eps_k = min(0.85 * margin, (math.pi + 1.0) * sup_budget)  # first try; shrunk on demand
-    final = None
-    for _ in range(5):
-        comb, log = kernel_sum_approximation(hs, eps_k, grid)
-        n = len(comb.positives)
-        comb0 = PoissonCombination.make(comb._positive_set, (0.0,) * n, 0)
-        Qn = quotient_from_combination(u, comb0)
-        sup_e, der_e = measure_c1_error(u, Qn, _verify_grid_size(max(grid, n, u_series.m)))
-        if der_e < margin and sup_e <= sup_budget:
-            final = (comb, Qn, log, sup_e, der_e, n)
-            break
-        eps_k *= 0.4
-    if final is None:
+    fit, ok = _fit_c1(u, eps_k, grid, 5, 0.4, lambda s, d: d < margin and s <= sup_budget)
+    if not ok:
         raise ApproximationBudgetError("could not meet the uniform and derivative budgets")
-    comb, Qn, log, sup_e, der_e, n = final
-
-    sigma = Qn.numerator.sigma
+    B, n = fit.blaschke, fit.n
     if direction == "below":
         if n == 0:
-            Q = BlaschkeQuotient.make([0.0], [], sigma)
+            Q = BlaschkeQuotient.make([0.0], [], B.sigma)
         else:
-            Q = BlaschkeQuotient.make(Qn.numerator._zero_set, (0.0,) * (n - 1), sigma)
+            Q = BlaschkeQuotient.make(B._zero_set, (0.0,) * (n - 1), B.sigma)
     else:
-        Q = BlaschkeQuotient.make((0.0,) * (n + 1), Qn.numerator._zero_set, np.conjugate(sigma))
+        Q = BlaschkeQuotient.make((0.0,) * (n + 1), B._zero_set, np.conjugate(B.sigma))
 
     cert = certify_quotient(Q)
     if cert.verdict != DIFFEOMORPHISM:
         raise ApproximationBudgetError(
             f"assembled quotient failed certification: {cert.verdict} (margin {cert.margin:.3e})"
         )
-    g_v = _verify_grid_size(max(grid, n, u_series.m))
+    g_v = fit.log["verify_grid"]
     Fv = grid_theta(g_v) + lift.psi_grid(g_v)
     argQ = quotient_arg_grid(Q, g_v)
     sup_uniform = sup_norm(2.0 * np.sin((Fv - argQ) / 2.0))
@@ -607,7 +601,7 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
         raise ApproximationBudgetError(
             f"measured uniform error {sup_uniform:.3e} >= eps = {eps:.3e}"
         )
-    log = dict(log, eta=eta, mollify_error=moll_err, slope_margin=margin,
-               eps=eps, eps_kernel=eps_k, c1_sup=sup_e, c1_derivative=der_e,
+    log = dict(fit.log, eta=eta, mollify_error=moll_err, slope_margin=margin, eps=eps,
+               c1_sup=fit.sup_error, c1_derivative=fit.derivative_error,
                uniform_error=sup_uniform, degree=Q.numerator.degree)
     return HomeoApproxResult(Q, direction, sup_uniform, cert, log)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, _as_complex, disk_array, poisson_sum_grid
+from .disk import TWO_PI, _as_complex, disk_array, poisson_sum_grid, pseudo_distances
 
 COMMON_ZERO_TOL = 1e-12
 GRID_CAP = 2**20
@@ -121,8 +121,7 @@ class BlaschkeQuotient:
             if len(p) == 0:
                 break
             k = p[(side[p] != side[p + d]) & (np.abs(z[p] - z[p + d]) < 5e-12)]
-            dist = np.abs(z[k] - z[k + d]) / np.abs(1 - z[k] * z[k + d].conjugate())
-            hits.extend(k[dist < COMMON_ZERO_TOL])
+            hits.extend(k[pseudo_distances(z[k], z[k + d]) < COMMON_ZERO_TOL])
         if hits:
             raise ValueError(f"numerator and denominator share a zero near {z[min(hits)]}")
 
@@ -431,15 +430,16 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
 # ---------------------------------------------------------------------------
 # winding and continuous argument
 
-def winding(Q: BlaschkeQuotient, grid_size: int = 4096) -> float:
+def winding(Q: BlaschkeQuotient) -> float:
     """Total change of arg Q around the circle, a multiple of 2*pi.
 
-    Integrates the argument derivative on a grid and rounds to the nearest
-    multiple of 2*pi, checking agreement with the degree count to 1e-6 and
-    refusing if the integral sits farther than 0.1 from any multiple.
+    Integrates the argument derivative on a grid of 4096 points, doubled on
+    demand, and rounds to the nearest multiple of 2*pi, checking agreement
+    with the degree count to 1e-6 and refusing if the integral sits farther
+    than 0.1 from any multiple.
     """
     expected = Q.degree_difference
-    g = grid_size
+    g = 4096
     while True:
         integral = float(np.mean(quotient_derivative_grid(Q, g))) * TWO_PI
         k = round(integral / TWO_PI)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .disk import TWO_PI, as_disk, pseudo_hyperbolic
+from .disk import TWO_PI, as_disk, disk_array, pseudo_distances
 from .blaschke import (
     GRID_CAP,
     BlaschkeQuotient,
@@ -180,30 +180,21 @@ def pseudo_condition(z: Sequence, w: Sequence) -> PairingConditionResult:
     the quotient of the z-product by the w-product is a circle homeomorphism,
     a diffeomorphism if some inequality is strict.
     """
-    zs = [as_disk(p) for p in z]
-    ws = [as_disk(p) for p in w]
+    zs, ws = disk_array(z), disk_array(w)
     n = len(ws)
     if len(zs) != n + 1:
         raise ValueError("need n+1 numerator points and n denominator points")
-    z0 = zs[0]
-    statuses = []
-    for zk, wk in zip(zs[1:], ws):
-        lhs = pseudo_hyperbolic(zk, wk)
-        rhs = (1.0 - pseudo_hyperbolic(zk, z0)) * (1.0 - pseudo_hyperbolic(wk, z0)) / (4.0 * n)
-        if lhs < rhs:
-            statuses.append("holds_strict")
-        elif lhs <= rhs:
-            statuses.append("holds")
-        else:
-            statuses.append("fails")
-    holds = all(s != "fails" for s in statuses)
-    strict = holds and any(s == "holds_strict" for s in statuses)
-    return PairingConditionResult(tuple(statuses), holds, strict)
+    z0, zk = zs[0], zs[1:]
+    lhs = pseudo_distances(zk, ws)
+    rhs = (1.0 - pseudo_distances(zk, z0)) * (1.0 - pseudo_distances(ws, z0)) / (4.0 * n)
+    statuses = np.where(lhs < rhs, "holds_strict", np.where(lhs <= rhs, "holds", "fails"))
+    holds = bool(np.all(lhs <= rhs))
+    return PairingConditionResult(tuple(statuses.tolist()), holds, holds and bool(np.any(lhs < rhs)))
 
 
 def pseudo_quotient(z: Sequence, w: Sequence, sigma=1.0) -> BlaschkeQuotient:
     """The quotient whose numerator zeros are z (n+1 points) and poles are w."""
-    return BlaschkeQuotient.make(list(z), list(w), sigma)
+    return BlaschkeQuotient.make(z, w, sigma)
 
 
 def radial_sufficient(zeros: Sequence, poles: Sequence) -> bool:
@@ -213,11 +204,8 @@ def radial_sufficient(zeros: Sequence, poles: Sequence) -> bool:
     worst-case maximum of each denominator kernel:
     sum (1-|z|)/(1+|z|) >= sum (1+|w|)/(1-|w|).
     """
-    zs = [abs(as_disk(p)) for p in zeros]
-    ws = [abs(as_disk(p)) for p in poles]
-    lhs = sum((1.0 - r) / (1.0 + r) for r in zs)
-    rhs = sum((1.0 + r) / (1.0 - r) for r in ws)
-    return lhs >= rhs
+    r, s = np.abs(disk_array(zeros)), np.abs(disk_array(poles))
+    return bool(np.sum((1.0 - r) / (1.0 + r)) >= np.sum((1.0 + s) / (1.0 - s)))
 
 
 def terminating_family_check(side: str, zeros: Sequence) -> bool:
@@ -228,36 +216,34 @@ def terminating_family_check(side: str, zeros: Sequence) -> bool:
     side="above": the map zeta^{n+1}/B(zeta) (spectrum bounded above):
     |z_k| <= 1/(4n+1) for every k.
     """
-    zs = [as_disk(p) for p in zeros]
+    zs = disk_array(zeros)
     n = len(zs)
     if n == 0:
         raise ValueError("need at least one zero")
     if side == "below":
         if n == 1:
             return True  # a single factor is a Moebius map, always a homeomorphism
-        zn = zs[-1]
+        zn, zk = zs[-1], zs[:-1]
         bound = (1.0 - abs(zn)) / (4.0 * (n - 1))
-        return all(
-            abs(zk) <= bound * (1.0 - pseudo_hyperbolic(zk, zn)) for zk in zs[:-1]
-        )
+        return bool(np.all(np.abs(zk) <= bound * (1.0 - pseudo_distances(zk, zn))))
     if side == "above":
-        return all(abs(zk) <= 1.0 / (4.0 * n + 1.0) for zk in zs)
+        return bool(np.all(np.abs(zs) <= 1.0 / (4.0 * n + 1.0)))
     raise ValueError("side must be 'below' or 'above'")
 
 
 def terminating_family_quotient(side: str, zeros: Sequence, sigma=1.0) -> BlaschkeQuotient:
     """Build B/zeta^{n-1} (below) or zeta^{n+1}/B (above), cancelling zeros at 0."""
-    zs = [as_disk(p) for p in zeros]
+    zs = disk_array(zeros)
     n = len(zs)
-    at_zero = sum(1 for z in zs if z == 0)
-    rest = [z for z in zs if z != 0]
+    rest = zs[zs != 0]
+    at_zero = n - len(rest)
     if side == "below":
         cancel = min(at_zero, n - 1)
-        num = rest + [0.0] * (at_zero - cancel)
-        return BlaschkeQuotient.make(num, [0.0] * (n - 1 - cancel), sigma)
+        num = np.concatenate([rest, np.zeros(at_zero - cancel)])
+        return BlaschkeQuotient.make(num, np.zeros(n - 1 - cancel), sigma)
     if side == "above":
-        cancel = at_zero  # n+1 monomial zeros always cover the cancellation
-        return BlaschkeQuotient.make([0.0] * (n + 1 - cancel), rest, sigma)
+        # n+1 monomial zeros always cover the cancellation
+        return BlaschkeQuotient.make(np.zeros(n + 1 - at_zero), rest, sigma)
     raise ValueError("side must be 'below' or 'above'")
 
 

@@ -72,10 +72,6 @@ def cmd_fourier(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        _check_grid_size(args.grid)
-    except ValueError as e:
-        raise MapSpecError(str(e))
     result = certify_quotient(quotient_from_spec(spec), args.grid)
     _write_json(result.to_json_dict(), args.out)
     return EXIT_OK
@@ -164,6 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            _check_grid_size(args.grid)  # every subcommand samples or certifies on --grid
+        except ValueError as e:
+            raise MapSpecError(str(e))
         return args.func(args)
     except MapSpecError as e:
         print(f"input error: {e}", file=sys.stderr)

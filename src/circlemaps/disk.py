@@ -125,11 +125,14 @@ def poisson_sum_grid(points, grid_size: int) -> np.ndarray:
     return out
 
 
+def pseudo_distances(z, w) -> np.ndarray:
+    """|z-w| / |1 - z*conj(w)| elementwise, for points already validated."""
+    return np.abs(z - w) / np.abs(1.0 - z * np.conj(w))
+
+
 def pseudo_hyperbolic(z, w) -> float:
     """Pseudo-hyperbolic distance |z-w| / |1 - z*conj(w)| in [0, 1)."""
-    z = as_disk(z)
-    w = as_disk(w)
-    return abs(z - w) / abs(1.0 - z * w.conjugate())
+    return float(pseudo_distances(as_disk(z), as_disk(w)))
 
 
 def harnack_gap_bound(z, w) -> float:

@@ -196,8 +196,8 @@ class TrigSeries:
     def mean(self) -> complex:
         return complex(self.coef[0])
 
-    def resample(self, g: int, real: bool = True) -> np.ndarray:
-        """Values on the uniform grid of size g, exact at the grid points.
+    def resample(self, g: int) -> np.ndarray:
+        """Real part of the values on the uniform grid of size g, exact at the grid points.
 
         A g above m zero-pads the coefficients; a g that divides m takes every
         (m/g)-th value of the native grid.
@@ -205,8 +205,7 @@ class TrigSeries:
         if g <= self.m:
             if self.m % g:
                 raise ValueError("resample target must divide the native grid or exceed it")
-            vals = (np.fft.ifft(self.coef) * self.m)[:: self.m // g]
-            return vals.real if real else vals
+            return (np.fft.ifft(self.coef) * self.m)[:: self.m // g].real
         c = np.zeros(g, dtype=complex)
         half = self.m // 2
         c[:half] = self.coef[:half]
@@ -214,8 +213,7 @@ class TrigSeries:
         # split the Nyquist bin symmetrically between +-m/2
         c[half] = self.coef[half] / 2.0
         c[g - half] += self.coef[half] / 2.0
-        vals = np.fft.ifft(c) * g
-        return vals.real if real else vals
+        return (np.fft.ifft(c) * g).real
 
     def derivative(self) -> "TrigSeries":
         return TrigSeries(self.coef * (1j * self.freqs()))

@@ -142,11 +142,10 @@ def gap_symmetric_samples(p: GapParams, m_sym: int) -> np.ndarray:
     return values
 
 
-def gap_symmetry_residual(p: GapParams, m_sym: int = 0) -> float:
-    """max_j |f(omega zeta_j) - omega f(zeta_j)| over the k-divisible grid."""
+def gap_symmetry_residual(p: GapParams) -> float:
+    """max_j |f(omega zeta_j) - omega f(zeta_j)| over the grid of k * 2^14 points."""
     k = p.k
-    if m_sym == 0:
-        m_sym = k * 2**14
+    m_sym = k * 2**14
     vals = gap_symmetric_samples(p, m_sym)
     omega = np.exp(2j * np.pi / k)
     rotated = np.roll(vals, -(m_sym // k))

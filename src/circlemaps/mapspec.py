@@ -11,7 +11,9 @@ A map spec is a JSON object with a "type" field:
 
 Numbers must be finite and N a whole number; disk points must satisfy
 |z| < 1 - 1e-12; sample arrays must have power-of-two length >= 64.
-Violations raise MapSpecError (CLI exit code 2).
+Violations raise MapSpecError (CLI exit code 2). Each list of [re, im]
+pairs becomes one complex array in one conversion, and its disk points are
+validated once, by the disk_array of the object built from them.
 """
 
 from __future__ import annotations
@@ -43,21 +45,18 @@ def _number(v, what: str) -> float:
     return x
 
 
-def _point(v, what: str) -> complex:
-    if (not isinstance(v, (list, tuple))) or len(v) != 2:
-        raise MapSpecError(f"{what} must be a [re, im] pair, got {v!r}")
-    z = complex(_number(v[0], what), _number(v[1], what))
+def _pairs(vs, what: str) -> np.ndarray:
+    """A list of [re, im] pairs of finite numbers as one complex array."""
     try:
-        disk_array(z)
-    except ValueError as e:
-        raise MapSpecError(f"{what} must lie strictly inside the unit disk: {e}")
-    return z
-
-
-def _points(vs, what: str) -> list:
-    if not isinstance(vs, list):
-        raise MapSpecError(f"{what}s must be a list of [re, im] pairs, got {vs!r}")
-    return [_point(v, what) for v in vs]
+        xy = np.array(vs, dtype=float) if isinstance(vs, list) else None
+    except (TypeError, ValueError, OverflowError):
+        xy = None
+    if xy is None or (vs and xy.shape[1:] != (2,)):
+        raise MapSpecError(f"{what} must be given as [re, im] pairs of numbers")
+    bad = xy[~np.isfinite(xy)]
+    if len(bad):
+        raise MapSpecError(f"{what} must be finite, got {bad[0]}")
+    return xy.reshape(-1, 2).view(complex).ravel()
 
 
 def validate(spec: dict) -> dict:
@@ -74,26 +73,36 @@ def quotient_from_spec(spec: dict) -> BlaschkeQuotient:
     validate(spec)
     t = spec["type"]
     if t == "mobius":
-        a = _point(spec.get("a", [0.0, 0.0]), "a")
         # (zeta + a)/(1 + conj(a) zeta) is the Blaschke factor with zero -a
-        return BlaschkeQuotient.make([-a], [], 1.0)
-    if t != "blaschke_quotient":
+        zeros, poles, sigma = [-_moebius_a(spec)], (), 1.0
+    elif t == "blaschke_quotient":
+        zeros = _pairs(spec.get("zeros", []), "zeros")
+        poles = _pairs(spec.get("poles", []), "poles")
+        sigma = cmath.exp(1j * _number(spec.get("sigma", 0.0), "sigma"))
+    else:
         raise MapSpecError(f"map type {t!r} is not a rational quotient")
-    zeros = _points(spec.get("zeros", []), "zero")
-    poles = _points(spec.get("poles", []), "pole")
-    sigma = cmath.exp(1j * _number(spec.get("sigma", 0.0), "sigma"))
     try:
         return BlaschkeQuotient.make(zeros, poles, sigma)
     except ValueError as e:
         raise MapSpecError(str(e))
 
 
+def _moebius_a(spec: dict) -> complex:
+    """The Moebius parameter a, a point of the open disk."""
+    a = _pairs([spec.get("a", [0.0, 0.0])], "a")
+    try:
+        disk_array(a)  # here, so that the message names a, not the factor's zero -a
+    except ValueError as e:
+        raise MapSpecError(f"a must lie strictly inside the unit disk: {e}")
+    return complex(a[0])
+
+
 def spec_from_quotient(Q: BlaschkeQuotient) -> dict:
     sigma = Q.numerator.sigma / Q.denominator.sigma
     return {
         "type": "blaschke_quotient",
-        "zeros": [[z.real, z.imag] for z in Q.numerator.zeros],
-        "poles": [[w.real, w.imag] for w in Q.denominator.zeros],
+        "zeros": np.column_stack([Q.numerator.zeros.real, Q.numerator.zeros.imag]).tolist(),
+        "poles": np.column_stack([Q.denominator.zeros.real, Q.denominator.zeros.imag]).tolist(),
         "sigma": math.atan2(sigma.imag, sigma.real) % (2 * math.pi),
     }
 
@@ -105,7 +114,7 @@ def sampled_from_spec(spec: dict, m: int = 4096) -> SampledCircleMap:
     try:
         if t in ("blaschke_quotient", "mobius"):
             if t == "mobius":
-                return mobius_map(_point(spec.get("a", [0.0, 0.0]), "a"), m)
+                return mobius_map(_moebius_a(spec), m)
             return rational_family(quotient_from_spec(spec), m)
         if t == "star":
             try:
@@ -124,9 +133,7 @@ def sampled_from_spec(spec: dict, m: int = 4096) -> SampledCircleMap:
         vals = spec.get("values")
         if not isinstance(vals, list) or not vals:
             raise MapSpecError("samples spec needs a nonempty values array")
-        values = np.array([complex(float(v[0]), float(v[1])) for v in vals])
-        kind = spec.get("kind", "general")
-        return SampledCircleMap(values, kind)
+        return SampledCircleMap(_pairs(vals, "values"), spec.get("kind", "general"))
     except MapSpecError:
         raise
     except (ValueError, TypeError) as e:

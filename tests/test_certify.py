@@ -148,6 +148,120 @@ def test_terminating_family_maps_certify(rng):
     assert res.verdict != NOT_HOMEOMORPHISM
 
 
+# ---------------------------------------------------------------------------
+# sufficient conditions against the per-point reference
+
+
+def _pseudo(z, w):
+    return abs(z - w) / abs(1.0 - z * w.conjugate())
+
+
+def _pseudo_condition_reference(z, w):
+    """The pairing condition one point at a time, in Python complex arithmetic."""
+    zs, ws = [complex(p) for p in z], [complex(p) for p in w]
+    n = len(ws)
+    statuses = []
+    for zk, wk in zip(zs[1:], ws):
+        lhs = _pseudo(zk, wk)
+        rhs = (1.0 - _pseudo(zk, zs[0])) * (1.0 - _pseudo(wk, zs[0])) / (4.0 * n)
+        statuses.append("holds_strict" if lhs < rhs else "holds" if lhs <= rhs else "fails")
+    holds = all(s != "fails" for s in statuses)
+    return tuple(statuses), holds, holds and "holds_strict" in statuses
+
+
+def _radial_sufficient_reference(zeros, poles):
+    lhs = sum((1.0 - abs(p)) / (1.0 + abs(p)) for p in zeros)
+    return lhs >= sum((1.0 + abs(p)) / (1.0 - abs(p)) for p in poles)
+
+
+def _terminating_family_check_reference(side, zeros):
+    zs = [complex(p) for p in zeros]
+    n = len(zs)
+    if side == "above":
+        return all(abs(zk) <= 1.0 / (4.0 * n + 1.0) for zk in zs)
+    if n == 1:
+        return True
+    bound = (1.0 - abs(zs[-1])) / (4.0 * (n - 1))
+    return all(abs(zk) <= bound * (1.0 - _pseudo(zk, zs[-1])) for zk in zs[:-1])
+
+
+def test_sufficient_conditions_match_per_point_reference():
+    rng = np.random.default_rng(8128)
+    seen = set()
+    for i in range(2400):
+        n = 1 + i % 6
+        scale = (0.05, 0.2, 0.5, 0.9)[i // 6 % 4]
+        z = random_disk_points(rng, n + 1, scale)
+        w = random_disk_points(rng, n, scale)
+        if i % 3 == 0:  # poles near their zeros, where the pairing condition can hold
+            w = z[1:] + 0.01 * scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        z[rng.uniform(0, 1, n + 1) < 0.1] = 0.0
+        z, w = list(z), list(w)
+        res = pseudo_condition(z, w)
+        assert (res.statuses, res.holds, res.strict) == _pseudo_condition_reference(z, w)
+        got = (radial_sufficient(z[:n], w[: n // 2]),
+               terminating_family_check("below", z[:n]),
+               terminating_family_check("above", z[:n]))
+        assert got == (_radial_sufficient_reference(z[:n], w[: n // 2]),
+                       _terminating_family_check_reference("below", z[:n]),
+                       _terminating_family_check_reference("above", z[:n]))
+        seen.update([res.strict, *((k, v) for k, v in enumerate(got))])
+    # every outcome occurs, so each comparison above was tested both ways
+    assert seen == {True, False} | {(k, v) for k in range(3) for v in (True, False)}
+
+
+def test_sufficient_conditions_tie_and_empty_cases():
+    # d(0.2, 0) = 0.2 = (1 - 0.2) / 4 in floating point: the non-strict status
+    res = pseudo_condition([0.0, 0.2], [0.0])
+    assert (res.statuses, res.holds, res.strict) == (("holds",), True, False)
+    assert _pseudo_condition_reference([0.0, 0.2], [0.0]) == (("holds",), True, False)
+    res = pseudo_condition([0.3], [])
+    assert (res.statuses, res.holds, res.strict) == ((), True, False)
+    with pytest.raises(ValueError, match="n\\+1"):
+        pseudo_condition([0.1, 0.2], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        pseudo_condition([0.1, 1.0], [0.1])
+    assert radial_sufficient([], [])
+    assert terminating_family_check("below", [0.9])
+    with pytest.raises(ValueError, match="at least one"):
+        terminating_family_check("above", [])
+
+
+def test_point_lists_are_validated_once_per_array(monkeypatch):
+    import sys
+
+    from circlemaps import disk
+    from circlemaps.mapspec import quotient_from_spec
+
+    calls = {"disk_array": 0, "DiskPoint": 0}
+    real_array, real_post_init = disk.disk_array, disk.DiskPoint.__post_init__
+
+    def counting_array(points):
+        calls["disk_array"] += 1
+        return real_array(points)
+
+    def counting_post_init(self):
+        calls["DiskPoint"] += 1
+        real_post_init(self)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("circlemaps") and hasattr(mod, "disk_array"):
+            monkeypatch.setattr(mod, "disk_array", counting_array)
+    monkeypatch.setattr(disk.DiskPoint, "__post_init__", counting_post_init)
+
+    ring = 0.99 * np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
+    spec = {"type": "blaschke_quotient", "zeros": [[0.0, 0.0]] * 1025,
+            "poles": np.column_stack([ring.real, ring.imag]).tolist(), "sigma": 0.5}
+    Q = quotient_from_spec(spec)
+    assert (Q.numerator.degree, Q.denominator.degree) == (1025, 1024)
+    assert calls["disk_array"] <= 2 and calls["DiskPoint"] == 0
+
+    calls.update(disk_array=0)
+    Q = terminating_family_quotient("below", 0.5 * np.exp(2j * np.pi * np.arange(512) / 512))
+    assert (Q.numerator.degree, Q.denominator.degree) == (512, 511)
+    assert calls["disk_array"] <= 3 and calls["DiskPoint"] == 0
+
+
 def test_homeo_check_sampled_verdicts(homeo_gallery):
     m = 4096
     theta = grid_theta(m)

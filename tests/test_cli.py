@@ -110,6 +110,14 @@ def test_cli_certify_grid_not_power_of_two_exits_2(tmp_path, capsys):
     assert "grid size must be a power of two >= 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["-8", "3", "1000"])
+def test_cli_grid_not_power_of_two_exits_2_everywhere(tmp_path, capsys, grid):
+    spec = write_spec(tmp_path, "mobius.json", {"type": "mobius", "a": [0.3, 0.0]})
+    for cmd in ("fourier", "certify", "approximate", "figure", "bounds"):
+        assert main([cmd, "--spec", spec, "--grid", grid, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
+        assert "grid size must be a power of two >= 64" in capsys.readouterr().err, cmd
+
+
 def test_cli_approximate_rotation(tmp_path, capsys):
     spec = write_spec(tmp_path, "rot.json",
                       {"type": "blaschke_quotient", "zeros": [[0.0, 0.0]],
@@ -199,6 +207,8 @@ MALFORMED_SPECS = {
     "zeros_number": dict(IDENTITY, zeros=5),
     "json_array": [1, 2],
     "fractional_N": {"type": "avoidable", "N": 2.7},
+    "samples_short_pairs": {"type": "samples", "values": [[1]] * 64},
+    "samples_triples": {"type": "samples", "values": [[1, 0, 5]] * 64},
 }
 
 
