@@ -38,7 +38,7 @@ from .blaschke import (
     quotient_arg_grid,
     quotient_derivative_grid,
 )
-from .fourier import TrigSeries, grid_theta, sup_norm
+from .fourier import TrigSeries, grid_theta, phase_steps, sup_norm
 from .certify import DIFFEOMORPHISM, certify_quotient
 
 MEAN_TOL = 1e-8
@@ -101,13 +101,14 @@ class PeriodicC1Function:
         return np.asarray(self.derivative(grid_theta(g)), dtype=float)
 
 
-def _to_series(h, grid: int = 4096) -> TrigSeries:
-    if isinstance(h, TrigSeries):
-        return h
-    if isinstance(h, PeriodicC1Function):
-        return h.as_series(grid)
-    if callable(h):
-        return TrigSeries.from_samples(np.asarray(h(grid_theta(grid)), dtype=float))
+def _periodic(u) -> PeriodicC1Function:
+    """u as a PeriodicC1Function: a TrigSeries, a PeriodicC1Function or a vectorized callable."""
+    if isinstance(u, PeriodicC1Function):
+        return u
+    if isinstance(u, TrigSeries):
+        return PeriodicC1Function.from_series(u)
+    if callable(u):
+        return PeriodicC1Function.from_callable(u)
     raise TypeError("expected a TrigSeries, PeriodicC1Function, or callable")
 
 
@@ -117,15 +118,13 @@ def periodic_antiderivative(h, grid: int = 4096) -> PeriodicC1Function:
     Spectral integration: nonzero Fourier modes are divided by i*n. The input
     must have (numerically) zero mean, else no periodic antiderivative exists.
     """
-    hs = _to_series(h, grid)
+    hs = _periodic(h).as_series(grid)
     if abs(hs.mean()) >= MEAN_TOL:
         raise ValueError(f"mean {hs.mean():.3e} is not zero; no periodic antiderivative")
     coef = hs.antiderivative().coef.copy()
     coef[0] -= np.sum(coef)  # anchor g(0) = 0
-    out = PeriodicC1Function.from_series(TrigSeries(coef))
-    # keep the exact derivative series rather than the re-differentiated one
-    out.derivative = hs.eval
-    return out
+    g = TrigSeries(coef)
+    return PeriodicC1Function(g.eval, hs.eval, g)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    hs = _to_series(h, grid)
+    hs = _periodic(h).as_series(grid)
     m_work = max(hs.m, grid)
     h_fine = hs.resample(m_work)
     if sup_norm(h_fine) < min(eps * 1e-3, 1e-12) or sup_norm(h_fine) == 0.0:
@@ -181,6 +180,7 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
 
     # radius search: harmonic extension H(r zeta) must track h within eps/3
     k = np.abs(hs.freqs())
+    h_2m = hs.resample(2 * m_work)
     r = None
     ext_err = None
     for j in range(64):
@@ -191,7 +191,7 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
                 f"before the radius floor; function too rough for this budget"
             )
         damped = TrigSeries(hs.coef * cand**k)
-        err = sup_norm(damped.resample(2 * m_work) - hs.resample(2 * m_work))
+        err = sup_norm(damped.resample(2 * m_work) - h_2m)
         if err < eps / 3.0:
             r, ext_err = cand, err
             break
@@ -278,9 +278,10 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
     which is replaced collectively by its count (the ring's own split
     identity) with the remaining eps/2 verified on the grid.
     """
+    hs = _periodic(h).as_series(grid)
     min_n = 64
     while True:
-        comb, log = kernel_pair_approximation(h, eps / 2.0, grid, min_n)
+        comb, log = kernel_pair_approximation(hs, eps / 2.0, grid, min_n)
         if not comb.positives and not comb.negatives:
             return comb, log
         n_neg = len(comb.negatives)
@@ -298,7 +299,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
         min_n = 2 * n_neg
     out = PoissonCombination.make(comb._positive_set, (), n_neg)
     g_v = _verify_grid_size(log.get("verify_grid", MIN_VERIFY_GRID) // 4 or 1024)
-    err = sup_norm(out.evaluate_grid(g_v) - _to_series(h, grid).resample(g_v))
+    err = sup_norm(out.evaluate_grid(g_v) - hs.resample(g_v))
     if err >= eps:
         raise ApproximationBudgetError(f"verified error {err:.3e} >= eps = {eps:.3e}")
     log = dict(log, ring_defect=defect, constant=n_neg, error=err, eps=eps)
@@ -318,7 +319,7 @@ def quotient_from_combination(u, comb: PoissonCombination) -> BlaschkeQuotient:
     """
     if comb.constant != 0:
         raise ValueError("represent the constant as kernels at the origin first")
-    u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
+    u = _periodic(u)
     u0 = float(np.atleast_1d(u.value(0.0))[0])
     # Q(1) at sigma = 1 from the two products, so that the quotient is built once
     v0 = BlaschkeProduct.make(comb._positive_set)(1.0) / BlaschkeProduct.make(comb._negative_set)(1.0)
@@ -333,7 +334,7 @@ def measure_c1_error(u, Q: BlaschkeQuotient, g: int = MIN_VERIFY_GRID):
     for a winding-zero quotient the difference is periodic so grid sups are
     meaningful.
     """
-    u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
+    u = _periodic(u)
     theta = grid_theta(g)
     uvals = u.values_on_grid(g)
     duvals = u.derivative_on_grid(g)
@@ -390,8 +391,7 @@ def approximate_c1(u, eps: float, grid: int = 4096) -> C1ApproxResult:
     factor the mean value theorem loses when integrating the derivative
     error, and halves if the measured C1 error still exceeds eps.
     """
-    u = u if isinstance(u, PeriodicC1Function) else PeriodicC1Function.from_callable(u)
-    fit, ok = _fit_c1(u, 0.98 * eps / (math.pi + 1.0), grid, 4, 0.5, lambda s, d: s + d < eps)
+    fit, ok = _fit_c1(_periodic(u), 0.98 * eps / (math.pi + 1.0), grid, 4, 0.5, lambda s, d: s + d < eps)
     if not ok:
         raise ApproximationBudgetError(
             f"C1 error {fit.c1_error:.3e} still above eps = {eps:.3e} after retries"
@@ -408,8 +408,8 @@ class CircleLift:
     Stored through its periodic part psi = F - theta, a PeriodicC1Function:
     a trigonometric series in the smooth case (mollified lifts, quotients),
     else a vectorized callable (piecewise-linear, sampled or callable input).
-    On uniform grids psi is read through psi_grid, which resamples a series
-    exactly by FFT; value evaluates F at arbitrary angles.
+    On uniform grids psi is read through psi.values_on_grid, which resamples
+    a series exactly by FFT; value evaluates F at arbitrary angles.
     """
 
     def __init__(self, psi: PeriodicC1Function):
@@ -433,31 +433,26 @@ class CircleLift:
             raise ValueError("breakpoints must span exactly one period in both coordinates")
         if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-
-        def psi(theta):
-            theta = np.asarray(theta, dtype=float)
-            tm = (theta - ts[0]) % TWO_PI + ts[0]
-            return np.interp(tm, ts, vs) - tm
-
-        return cls(PeriodicC1Function.from_callable(psi))
+        return cls._interpolant(ts, vs)
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "CircleLift":
         """Lift of a sampled sense-preserving circle map, linearly interpolated."""
         vals = np.asarray(values, dtype=complex)
-        m = len(vals)
-        phases = np.angle(vals)
-        d = np.diff(phases)
-        d = (d + np.pi) % TWO_PI - np.pi
-        F = np.concatenate([[phases[0]], phases[0] + np.cumsum(d)])
-        F = np.append(F, F[0] + TWO_PI)  # close the period
-        theta = np.append(grid_theta(m), TWO_PI)
+        F = np.angle(vals[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(vals)[:-1])])
+        F = np.append(F, F[0] + TWO_PI)  # the exact turn, not the closing step
+        theta = np.append(grid_theta(len(vals)), TWO_PI)
         if np.any(np.diff(F) < -1e-9):
             raise ValueError("samples are not a sense-preserving homeomorphism")
+        return cls._interpolant(theta, F)
 
-        def psi(t):
-            t = np.asarray(t, dtype=float) % TWO_PI
-            return np.interp(t, theta, F) - t
+    @classmethod
+    def _interpolant(cls, ts: np.ndarray, vs: np.ndarray) -> "CircleLift":
+        """The piecewise-linear lift through (ts, vs), with ts spanning one period from ts[0]."""
+        def psi(theta):
+            theta = np.asarray(theta, dtype=float)
+            tm = (theta - ts[0]) % TWO_PI + ts[0]
+            return np.interp(tm, ts, vs) - tm
 
         return cls(PeriodicC1Function.from_callable(psi))
 
@@ -473,13 +468,14 @@ class CircleLift:
         theta = np.asarray(theta, dtype=float)
         return theta + self.psi.value(theta)
 
-    def psi_grid(self, g: int) -> np.ndarray:
-        return self.psi.values_on_grid(g)
-
     def min_slope(self, g: int = 2**14) -> float:
         """Smallest slope of the secants of F over the closed grid of size g."""
-        psi = self.psi_grid(g)
-        return 1.0 + float(np.min(np.roll(psi, -1) - psi)) * g / TWO_PI
+        return _secant_slope(self.psi.values_on_grid(g))
+
+
+def _secant_slope(psi: np.ndarray) -> float:
+    """Smallest secant slope of theta + psi over the closed uniform grid of psi."""
+    return 1.0 + float(np.min(np.roll(psi, -1) - psi)) * len(psi) / TWO_PI
 
 
 def _bump_weights(eta: float, m: int) -> np.ndarray:
@@ -505,7 +501,7 @@ def mollify_lift(F: CircleLift, eta: float) -> CircleLift:
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = min(2**17, _next_pow2(max(4096, 64.0 * TWO_PI / eta)))
-    psi = F.psi_grid(m)
+    psi = F.psi.values_on_grid(m)
     w = _bump_weights(eta, m)
     smooth = np.real(np.fft.ifft(np.fft.fft(psi) * np.fft.fft(w)))
     return CircleLift.from_series(TrigSeries.from_samples(smooth))
@@ -552,17 +548,18 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
     if eps <= 0:
         raise ValueError("eps must be positive")
     lift = as_circle_lift(f)
-    m0 = lift.min_slope()
+    g_chk = MIN_VERIFY_GRID
+    psi_raw = lift.psi.values_on_grid(g_chk)
+    m0 = _secant_slope(psi_raw)
     if m0 <= 0:
         raise ValueError("input lift is not strictly increasing (not sense-preserving)")
 
-    g_chk = MIN_VERIFY_GRID
-    psi_raw = lift.psi_grid(g_chk)
     eta = 0.3
     while True:
         smooth = mollify_lift(lift, eta)
-        moll_err = sup_norm(smooth.psi_grid(g_chk) - psi_raw)
-        margin = smooth.min_slope()
+        psi_smooth = smooth.psi.values_on_grid(g_chk)
+        moll_err = sup_norm(psi_smooth - psi_raw)
+        margin = _secant_slope(psi_smooth)
         if moll_err <= eps / 2.0 and margin >= 0.5 * m0:
             break
         eta *= 0.5
@@ -594,7 +591,7 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
             f"assembled quotient failed certification: {cert.verdict} (margin {cert.margin:.3e})"
         )
     g_v = fit.log["verify_grid"]
-    Fv = grid_theta(g_v) + lift.psi_grid(g_v)
+    Fv = grid_theta(g_v) + (psi_raw if g_v == g_chk else lift.psi.values_on_grid(g_v))
     argQ = quotient_arg_grid(Q, g_v)
     sup_uniform = sup_norm(2.0 * np.sin((Fv - argQ) / 2.0))
     if sup_uniform >= eps:

@@ -457,31 +457,20 @@ def winding(Q: BlaschkeQuotient) -> float:
 
 
 def continuous_arg(Q: BlaschkeQuotient, grid_size: int):
-    """Unwrapped argument of Q on [0, 2*pi] inclusive.
+    """Continuous argument of Q on [0, 2*pi] inclusive.
 
-    Returns (theta, values) with grid_size + 1 samples; values[-1] - values[0]
-    equals the winding. Raises GridTooCoarseError when adjacent samples jump
-    by pi or more, in which case the caller should refine the grid.
+    Returns (theta, values) with grid_size + 1 samples: quotient_arg_grid,
+    closed by values[0] + 2*pi * (degree difference). Raises
+    GridTooCoarseError when two adjacent values differ by pi or more, in which
+    case the caller should refine the grid.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    vals = quotient_values_grid(Q, grid_size)
-    phases = np.angle(vals)
-    d = np.diff(np.concatenate([phases, phases[:1]]))
-    d = (d + np.pi) % TWO_PI - np.pi
-    if np.any(np.abs(d) >= np.pi * (1 - 1e-9)):
+    vals = quotient_arg_grid(Q, grid_size)
+    out = np.append(vals, vals[0] + TWO_PI * Q.degree_difference)
+    if np.any(np.abs(np.diff(out)) >= np.pi * (1 - 1e-9)):
         raise GridTooCoarseError("adjacent samples differ by pi or more; refine the grid")
-    theta = np.linspace(0.0, TWO_PI, grid_size + 1)
-    out = np.empty(grid_size + 1)
-    out[0] = phases[0]
-    out[1:] = phases[0] + np.cumsum(d)
-    # a whole turn between samples wraps to nearly zero and evades the jump
-    # check; the endpoint-vs-winding mismatch exposes it
-    if abs((out[-1] - out[0]) - TWO_PI * Q.degree_difference) > 1e-6:
-        raise GridTooCoarseError(
-            "unwrapped argument misses turns (endpoint does not match the winding)"
-        )
-    return theta, out
+    return np.linspace(0.0, TWO_PI, grid_size + 1), out
 
 
 def continuous_arg_auto(Q: BlaschkeQuotient, grid_size: int = 4096):

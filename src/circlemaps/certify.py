@@ -37,6 +37,7 @@ from .blaschke import (
     quotient_arg_derivative,
     quotient_derivative_grid,
 )
+from .fourier import phase_steps
 
 DIFFEOMORPHISM = "Diffeomorphism"
 HOMEOMORPHISM_BOUNDARY = "HomeomorphismBoundary"
@@ -266,9 +267,7 @@ def homeo_check_sampled(mp) -> HomeoScreen:
     vals = np.asarray(mp.values, dtype=complex)
     if float(np.max(np.abs(np.abs(vals) - 1.0))) >= 1e-9:
         return HomeoScreen("not-unimodular")
-    phases = np.angle(vals)
-    d = np.diff(np.concatenate([phases, phases[:1]]))
-    d = (d + np.pi) % TWO_PI - np.pi
+    d = phase_steps(vals)
     if np.any(np.abs(d) >= np.pi * (1 - 1e-9)):
         raise GridTooCoarseError("adjacent samples differ by pi or more; refine the grid")
     j = int(np.argmin(d))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -164,6 +165,11 @@ def main(argv=None) -> int:
             _check_grid_size(args.grid)  # every subcommand samples or certifies on --grid
         except ValueError as e:
             raise MapSpecError(str(e))
+        eps, tolerance = getattr(args, "eps", 1.0), getattr(args, "tolerance", 0.0)
+        if not (math.isfinite(eps) and eps > 0):
+            raise MapSpecError(f"--eps must be a finite number > 0, got {eps}")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise MapSpecError(f"--tolerance must be a finite number >= 0, got {tolerance}")
         return args.func(args)
     except MapSpecError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -58,6 +58,13 @@ class SampledCircleMap:
         return len(self.values)
 
 
+def phase_steps(values) -> np.ndarray:
+    """Phase steps values[j] to values[j + 1] around the closed grid, wrapped into [-pi, pi)."""
+    phases = np.angle(values)
+    d = np.diff(np.concatenate([phases, phases[:1]]))
+    return (d + np.pi) % TWO_PI - np.pi
+
+
 @dataclass
 class FourierSpectrum:
     """Coefficients f_hat(n) over the contiguous window ns = -(m/2 - 1), ..., m/2 - 1."""

@@ -232,3 +232,33 @@ def test_min_slope_matches_secant_reference():
         for g in (1024, 4096):
             assert lift.min_slope(g) == pytest.approx(reference(lift, g), abs=1e-9)
     assert pl.min_slope() == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+def test_approximate_homeomorphism_evaluates_each_lift_once_on_the_check_grid(monkeypatch):
+    from circlemaps.blaschke import BlaschkeQuotient
+
+    lifts, evaluated = [], []
+    init, values_on_grid = CircleLift.__init__, PeriodicC1Function.values_on_grid
+
+    def init_spy(self, psi):
+        lifts.append(self)
+        init(self, psi)
+
+    def values_spy(self, g):
+        if g == 2**14:
+            evaluated.append(self)  # kept alive, so identity comparisons stay valid
+        return values_on_grid(self, g)
+
+    monkeypatch.setattr(CircleLift, "__init__", init_spy)
+    monkeypatch.setattr(PeriodicC1Function, "values_on_grid", values_spy)
+    rotation = CircleLift.from_breakpoints([(0, 0.4), (2 * np.pi, 0.4 + 2 * np.pi)])
+    mobius = as_circle_lift(BlaschkeQuotient.make([-0.3], [], 1.0))
+    for lift, direction in ((rotation, "below"), (mobius, "above")):
+        lifts.clear()
+        evaluated.clear()
+        lifts.append(lift)
+        res = approximate_homeomorphism(lift, 0.05, direction)
+        assert res.log["verify_grid"] == 2**14  # the final check reads the same grid
+        assert len(lifts) >= 2
+        for f in lifts:
+            assert sum(p is f.psi for p in evaluated) <= 1

@@ -423,3 +423,95 @@ def test_smooth_cli_approximation_takes_no_direct_grid(monkeypatch):
     assert res.certification.verdict == "Diffeomorphism"
     assert calls["poisson_sum_grid"] == 0
     assert calls["power_sums"] > 0
+
+
+def _unwrapped_arg_reference(Q, g):
+    """The former continuous_arg: principal phases of the sampled values, unwrapped.
+
+    A step of more than pi between samples wraps into (-pi, pi) unnoticed, so
+    this can return a branch that is off by 2 pi on part of the grid; its
+    endpoint-vs-winding check catches only an odd number of such steps.
+    """
+    from circlemaps.blaschke import GridTooCoarseError
+
+    phases = np.angle(quotient_values_grid(Q, g))
+    d = np.diff(np.concatenate([phases, phases[:1]]))
+    d = (d + np.pi) % (2 * np.pi) - np.pi
+    if np.any(np.abs(d) >= np.pi * (1 - 1e-9)):
+        raise GridTooCoarseError("adjacent samples differ by pi or more")
+    out = np.concatenate([[phases[0]], phases[0] + np.cumsum(d)])
+    if abs((out[-1] - out[0]) - 2 * np.pi * Q.degree_difference) > 1e-6:
+        raise GridTooCoarseError("endpoint does not match the winding")
+    return out
+
+
+def _near_boundary_points(rng, n):
+    r = 1 - 10 ** rng.uniform(-3, -0.3, n)
+    return r * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def test_continuous_arg_raises_wherever_the_unwrap_reference_raises():
+    from circlemaps.blaschke import GridTooCoarseError
+
+    rng = np.random.default_rng(11)
+    outcomes = {"both raise": 0, "both return": 0, "only the new raises": 0}
+    for _ in range(1000):
+        nz = int(rng.integers(1, 5))
+        zs, ws = _near_boundary_points(rng, nz), _near_boundary_points(rng, int(rng.integers(0, nz)))
+        Q = BlaschkeQuotient.make(zs, ws, cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
+        g = int(2 ** rng.integers(4, 10))
+        try:
+            ref = _unwrapped_arg_reference(Q, g)
+        except GridTooCoarseError:
+            ref = None
+        try:
+            theta, vals = continuous_arg(Q, g)
+        except GridTooCoarseError:
+            outcomes["both raise" if ref is None else "only the new raises"] += 1
+            continue
+        assert ref is not None, "the reference raised where continuous_arg returned"
+        assert np.array_equal(theta, np.linspace(0.0, 2 * np.pi, g + 1))
+        assert np.max(np.abs(vals - ref)) < 1e-12
+        outcomes["both return"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_continuous_arg_never_returns_a_branch_off_by_a_turn():
+    from circlemaps.blaschke import GridTooCoarseError
+
+    # steps of 1.82 pi and -1.48 pi, eight samples apart: the unwrap of sampled
+    # phases passes its endpoint check and is off by exactly 2 pi on 8 points
+    Q = BlaschkeQuotient.make(
+        [0.8896465540173789 + 0.3646053895193781j, 0.06355956328045607 - 0.9963155950730295j],
+        [0.24671984825959506 - 0.9654558821720426j],
+        -0.9746065885704278 + 0.22392408873346523j)
+    g = 256
+    fine = quotient_arg_grid(Q, 64 * g)[::64]
+    assert np.max(np.abs(quotient_arg_grid(Q, g) - fine)) < 1e-12
+    try:
+        _, vals = continuous_arg(Q, g)
+    except GridTooCoarseError:
+        return
+    assert np.max(np.abs(vals[:-1] - fine)) < 1e-12
+
+
+def test_continuous_arg_reads_quotient_arg_grid(monkeypatch, rng):
+    from circlemaps import blaschke
+
+    calls = {"arg": 0, "values": 0}
+    arg_grid, values_grid = blaschke.quotient_arg_grid, blaschke.quotient_values_grid
+
+    def arg_spy(Q, g):
+        calls["arg"] += 1
+        return arg_grid(Q, g)
+
+    def values_spy(Q, g):
+        calls["values"] += 1
+        return values_grid(Q, g)
+
+    monkeypatch.setattr(blaschke, "quotient_arg_grid", arg_spy)
+    monkeypatch.setattr(blaschke, "quotient_values_grid", values_spy)
+    Q = BlaschkeQuotient.make(list(random_disk_points(rng, 3, 0.6)), list(random_disk_points(rng, 2, 0.5)))
+    for q in (identity_quotient(), Q):
+        continuous_arg(q, 1024)
+    assert calls == {"arg": 2, "values": 0}

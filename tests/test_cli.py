@@ -231,3 +231,18 @@ def test_runtime_imports_only_numpy():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("approximate", "--eps", "nan"), ("approximate", "--eps", "0"), ("approximate", "--eps", "-1"),
+    ("approximate", "--eps", "inf"), ("fourier", "--tolerance", "nan"),
+    ("fourier", "--tolerance", "-1"), ("fourier", "--tolerance", "inf"),
+])
+def test_cli_bad_eps_or_tolerance_exits_2_and_writes_nothing(tmp_path, capsys, cmd, flag, value):
+    spec = write_spec(tmp_path, "mobius.json", {"type": "mobius", "a": [0.3, 0.0]})
+    out = tmp_path / "result.out"
+    assert main([cmd, "--spec", spec, flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and flag in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mobius.json"]

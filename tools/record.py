@@ -1,0 +1,243 @@
+"""Behaviour record: the outputs of circlemaps' pipelines in one JSON file.
+
+    python tools/record.py OUT.json [--seed S]
+    python tools/record.py --compare A.json B.json
+
+The record holds, for the seed S (default 7):
+
+* certify_mix: the benchmark's certify_mix inputs (bench/workloads.py, read
+  and not changed): verdicts, margins, grids, witnesses, degrees and the
+  Heinz report's hall_lhs;
+* criterion_3: the piecewise-linear lift through (0, 0), (pi/2, pi),
+  (2 pi, 2 pi) approximated at eps 0.05 in both directions;
+* criterion_2: the C1 approximation of 0.3 sin + 0.1 cos 2 at eps 0.1;
+* smooth_cli: the benchmark's smooth_cli output file;
+* sufficient_conditions: pseudo_condition, radial_sufficient and both
+  terminating_family_check sides on 2000 seeded instances;
+* sampled: homeo_check_sampled on seeded sampled maps, and the lifts
+  CircleLift.from_samples builds from them;
+* continuous_arg: seeded quotients with points near the circle.
+
+Floats are written with float.hex, so two records are equal exactly when the
+outputs are bitwise equal. --compare prints each key that differs and exits
+1 if any do. BLAS summation order can differ between builds and thread
+counts, so compare records made on one machine. The package is imported from
+the src/ directory next to this file, so a record describes its own tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import glob
+import json
+import math
+import os
+import sys
+import tempfile
+
+sys.dont_write_bytecode = True  # leave no cache files in bench/, which belongs to the benchmark
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import numpy as np  # noqa: E402
+
+import circlemaps as cm  # noqa: E402
+from circlemaps.approx import measure_c1_error  # noqa: E402
+from circlemaps.blaschke import GridTooCoarseError, continuous_arg  # noqa: E402
+from circlemaps.fourier import grid_theta  # noqa: E402
+import workloads  # noqa: E402
+
+TWO_PI = 2.0 * math.pi
+
+
+def encode(x):
+    """JSON-ready copy of x with every float (and complex part) as float.hex."""
+    if isinstance(x, (bool, str)) or x is None:
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (complex, np.complexfloating)):
+        return [float(x.real).hex(), float(x.imag).hex()]
+    if isinstance(x, dict):
+        return {str(k): encode(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [encode(v) for v in x]
+    raise TypeError(f"cannot record {type(x).__name__}")
+
+
+def _quotient(Q) -> dict:
+    return {"zeros": Q.numerator.zeros, "poles": Q.denominator.zeros,
+            "sigma": Q.numerator.sigma / Q.denominator.sigma}
+
+
+def _certificate(cert) -> dict:
+    return {"verdict": cert.verdict, "margin": cert.margin, "grid": cert.grid_size,
+            "witness": cert.witness_theta}
+
+
+def certify_mix(seed: int, workdir: str) -> list:
+    out = []
+    for kind, run, _ in workloads.build("certify_mix", seed, workdir):
+        Q, cert, heinz = run()
+        out.append(dict(_certificate(cert), kind=kind,
+                        degrees=[Q.numerator.degree, Q.denominator.degree],
+                        hall_lhs=None if heinz is None else heinz.hall_lhs))
+    return out
+
+
+def criterion_3() -> dict:
+    lift = cm.CircleLift.from_breakpoints([(0, 0), (math.pi / 2, math.pi), (TWO_PI, TWO_PI)])
+    out = {}
+    for direction in ("below", "above"):
+        res = cm.approximate_homeomorphism(lift, 0.05, direction)
+        out[direction] = dict(_quotient(res.quotient), sup_error=res.sup_error,
+                              certification=_certificate(res.certification), log=res.log)
+    return out
+
+
+def criterion_2() -> dict:
+    u = cm.PeriodicC1Function.from_callable(
+        lambda th: 0.3 * np.sin(th) + 0.1 * np.cos(2 * th),
+        lambda th: 0.3 * np.cos(th) - 0.2 * np.sin(2 * th),
+    )
+    res = cm.approximate_c1(u, 0.1)
+    return dict(_quotient(res.quotient), n=res.n, sup_error=res.sup_error,
+                derivative_error=res.derivative_error, log=res.log,
+                measured=measure_c1_error(u, res.quotient, 2**14))
+
+
+def smooth_cli(seed: int, workdir: str) -> dict:
+    (_, run, _), = workloads.build("smooth_cli", seed, workdir)
+    rc = run()
+    (path,) = glob.glob(os.path.join(workdir, "approx-*.json"))
+    return {"exit": rc, "output": _load(path)}
+
+
+def _disk_points(rng, n, rmax):
+    return rmax * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+
+
+def sufficient_conditions(seed: int) -> list:
+    """n = 1..6, radii up to 0.05..0.9, zeros at the origin in a quarter, poles near zeros in a third."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(2000):
+        n = int(rng.integers(1, 7))
+        zs = _disk_points(rng, n + 1, rng.uniform(0.05, 0.9))
+        if i % 4 == 0:
+            zs[rng.integers(0, n + 1)] = 0.0
+        if i % 3 == 0:
+            ws = zs[1:] + _disk_points(rng, n, 0.02)
+        else:
+            ws = _disk_points(rng, n, rng.uniform(0.05, 0.9))
+        res = cm.pseudo_condition(zs, ws)
+        out.append({"statuses": res.statuses, "holds": res.holds, "strict": res.strict,
+                    "radial": cm.radial_sufficient(zs, ws),
+                    "below": cm.terminating_family_check("below", zs[:n]),
+                    "above": cm.terminating_family_check("above", zs[:n])})
+    return out
+
+
+def _outcome(f, *args):
+    """f(*args), or the name and message of the ValueError or GridTooCoarseError it raised."""
+    try:
+        return f(*args)
+    except (ValueError, GridTooCoarseError) as e:
+        return {"raised": type(e).__name__, "message": str(e)}
+
+
+def sampled(seed: int) -> list:
+    """Sampled maps from quotients that are homeomorphisms or not, on 64 to 1024 points."""
+    rng = np.random.default_rng(seed)
+    theta = grid_theta(512)
+    out = []
+    for i in range(50):
+        sigma = cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+        if i % 2:
+            Q = cm.BlaschkeQuotient.make(_disk_points(rng, 2, 0.4), _disk_points(rng, 1, 0.4), sigma)
+        else:  # a homeomorphism exactly when |a| <= 1/3
+            Q = cm.quadratic_quotient(complex(_disk_points(rng, 1, 0.5)[0]), sigma)
+        mp = cm.rational_family(Q, int(2 ** rng.integers(6, 11)))
+        screen = _outcome(cm.homeo_check_sampled, mp)
+        lift = _outcome(cm.CircleLift.from_samples, mp.values)
+        out.append({
+            "screen": screen if isinstance(screen, dict) else {"verdict": screen.verdict,
+                                                               "witness": screen.witness},
+            "lift": lift if isinstance(lift, dict) else lift.value(theta + 0.3) - theta,
+        })
+    return out
+
+
+def continuous_args(seed: int) -> list:
+    """Quotients with 1-4 zeros and fewer poles at radius 1 - 10^U(-3, -0.3), grids 16-512."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(300):
+        nz = int(rng.integers(1, 5))
+        zs, ws = (1 - 10 ** rng.uniform(-3, -0.3, k) for k in (nz, int(rng.integers(0, nz))))
+        zs = zs * np.exp(1j * rng.uniform(0, TWO_PI, len(zs)))
+        ws = ws * np.exp(1j * rng.uniform(0, TWO_PI, len(ws)))
+        Q = cm.BlaschkeQuotient.make(zs, ws, cmath.exp(1j * rng.uniform(0, TWO_PI)))
+        res = _outcome(continuous_arg, Q, int(2 ** rng.integers(4, 10)))
+        out.append(res if isinstance(res, dict) else res[1])
+    return out
+
+
+def record(seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as workdir:
+        return encode({
+            "certify_mix": certify_mix(seed, workdir),
+            "criterion_3": criterion_3(),
+            "criterion_2": criterion_2(),
+            "smooth_cli": smooth_cli(seed, workdir),
+            "sufficient_conditions": sufficient_conditions(seed),
+            "sampled": sampled(seed),
+            "continuous_arg": continuous_args(seed),
+        })
+
+
+def _load(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def differences(a, b, key: str = ""):
+    """Keys, as slash-separated paths, whose values differ between a and b."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                yield f"{key}/{k}"
+            else:
+                yield from differences(a[k], b[k], f"{key}/{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, f"{key}/{i}")
+    elif a != b:
+        yield key or "/"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", nargs="?", help="record file to write")
+    p.add_argument("--seed", type=int, default=7, help="seed of every seeded input")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="records to compare")
+    args = p.parse_args(argv)
+    if args.compare:
+        diff = list(differences(*map(_load, args.compare)))
+        for key in diff:
+            print(key)
+        print(f"{len(diff)} keys differ", file=sys.stderr)
+        return 1 if diff else 0
+    if not args.out:
+        p.error("give a record file to write, or --compare A B")
+    rec = record(args.seed)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(rec, fh, sort_keys=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
