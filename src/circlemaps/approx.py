@@ -55,6 +55,11 @@ def _next_pow2(x: float) -> int:
     return 1 << max(6, int(math.ceil(math.log2(max(x, 2.0)))))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+
+
 # ---------------------------------------------------------------------------
 # periodic functions
 
@@ -168,8 +173,7 @@ def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
     drops below eps. Raises ApproximationBudgetError if r would exceed
     1 - 1e-6 or n would exceed 2^16.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     hs = _periodic(h).as_series(grid)
     m_work = max(hs.m, grid)
     h_fine = hs.resample(m_work)
@@ -234,8 +238,7 @@ def kernel_ring_split(w0, eps: float):
     2 pi M n / ((R/r)^n - 1), R = (1+r)/2, M = (1+R)/(1-R), is below eps;
     the result is additionally verified on a grid.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     w0 = as_disk(w0)
     r = abs(w0)
     if r == 0.0:
@@ -545,8 +548,7 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     lift = as_circle_lift(f)
     g_chk = MIN_VERIFY_GRID
     psi_raw = lift.psi.values_on_grid(g_chk)

@@ -10,21 +10,22 @@ Each product validates its zeros once into a _ZeroSet, shared by the
 products and combinations built from the same zeros. It splits off the zeros
 at the origin, where the approximation quotients B(zeta)/zeta^(n-1) and
 zeta^(n+1)/B(zeta) carry their monomial, as an integer degree d: it adds d
-to the argument derivative, d*theta to the argument, zeta^d to the values
-and nothing to any power sum of order m >= 1. On the uniform circle grid of
-size g, the nonzero points have two evaluation paths. The power-sum path
-expands the log-factors into the series theta - 2 sum_m Im(T_m e^{-im theta})/m
-with T_m = sum_k z_k^m, evaluated by one FFT. The power sums are one blocked
-matrix product per zero set, at the largest order any job asks of it, with
-no cache. The series is a trigonometric polynomial up to a tail bounded in
+to the argument derivative, d*theta to the argument and nothing to any power
+sum of order m >= 1. On the uniform circle grid of size g, the nonzero
+points have two evaluation paths. The power-sum path expands the log-factors
+into the series theta - 2 sum_m Im(T_m e^{-im theta})/m with T_m = sum_k
+z_k^m; on g points the series folds into g bins, so each grid is one FFT of
+size g, whatever the series order. The power sums are one blocked matrix
+product per zero set, at the largest order any job asks of it, with no
+cache. The series is a trigonometric polynomial up to a tail bounded in
 closed form, so it scales to quotients with tens of thousands of zeros near
-the boundary. The direct path sums Poisson kernels, factors or factor
-arguments, O(n*g). _plan sizes the series for each job and takes it whenever
-it is affordable, on every grid; derivative_grid_error bounds the derivative
+the boundary. _plan sizes the series for each job and takes it whenever it
+is affordable, on every grid; derivative_grid_error bounds the derivative
 series' tail and rounding a priori for the certifier. Where the series is
-unaffordable, the derivative and the values sum directly and the argument
-uses the closed form 2 sum arg(1 - z_k e^{-i theta}), whose terms are
-principal values in (-pi/2, pi/2) and so continuous on any grid.
+unaffordable, the direct path takes O(n*g) work: the derivative sums Poisson
+kernels and the argument uses the closed form 2 sum arg(1 - z_k e^{-i
+theta}), whose terms are principal values in (-pi/2, pi/2) and so
+continuous on any grid. The values are e^{i arg} on both paths.
 """
 
 from __future__ import annotations
@@ -236,25 +237,19 @@ def _plan(pos, neg, job: str):
     return p, q, d, (M if n * M <= 2_000_000_000 and M <= 2**22 else 0)
 
 
-def _fft_size(g: int, M: int) -> int:
-    """The FFT size g * 2^k > M + 1 on which _series_on_grid places M coefficients."""
-    ge = g
-    while ge < M + 2:
-        ge *= 2
-    return ge
-
-
 def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
     """sum_{m=1..M} coeffs[m-1] e^{-i m theta_j} on the uniform grid of size g.
 
-    One FFT places the coefficients at indices 1..M of a grid g * 2^k > M + 1,
-    so no frequency folds, and keeps every 2^k-th value.
+    On g points e^{-i m theta_j} depends on m mod g only, so coefficient m
+    goes to bin m mod g: the bins are the column sums of the ceil((M+1)/g)
+    rows of length g that the coefficients fill in order, exactly the series
+    on the grid (trapezoid-rule aliasing). One FFT of size g reads them; when
+    M + 1 <= g the single row goes to it unchanged.
     """
     M = len(coeffs)
-    ge = _fft_size(g, M)
-    c = np.zeros(ge, dtype=complex)
+    c = np.zeros(-(-(M + 1) // g) * g, dtype=complex)
     c[1 : M + 1] = coeffs
-    return np.fft.fft(c)[:: ge // g]
+    return np.fft.fft(c.reshape(-1, g).sum(axis=0) if len(c) > g else c)
 
 
 def _signed_power_sums(p: _ZeroSet, q: _ZeroSet, M: int) -> np.ndarray:
@@ -322,15 +317,19 @@ def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
       |dS_m| <= u (3m + 4 sqrt(n) + 4) sum_k r_k^m, with n the larger
       side's count, and the grid is off by at most 2 sum_m |dS_m| =
       2u (3 s2 + (4 sqrt(n) + 4) s1);
-    * the FFT. Higham section 24.1 bounds each butterfly stage by
-      eta = mu + gamma_4 (sqrt(2) + mu) < 7u relatively, mu = u for the
-      weights; taken componentwise, an output of t = log2 N stages whose
-      weights have modulus one is off by at most ((1 + eta)^t - 1)
-      sum_m |S_m|, doubled by 2 Re. Adding c rounds once more, by at most
-      u (|c| + 2 s1).
+    * the fold and the FFT. _series_on_grid adds the coefficients into g
+      bins, rows - 1 additions per bin with rows = ceil((M+1)/g), each off
+      by at most u of its result, so the bins' errors sum to at most
+      (rows - 1) u sum_m |S_m|, and an output, a sum of the bins with
+      weights of modulus one, carries no more of it. Higham section 24.1
+      bounds each butterfly stage by eta = mu + gamma_4 (sqrt(2) + mu) < 7u
+      relatively, mu = u for the weights; taken componentwise, an output of
+      the t = log2 g stages is off by at most ((1 + eta)^t - 1) times the
+      bins' sum of moduli, itself at most sum_m |S_m|. Both are doubled by
+      2 Re. Adding c rounds once more, by at most u (|c| + 2 s1).
     The factor 1.05 covers the second-order terms and the rounding of r_k.
-    t = ceil(log2 N) counts the stages of power-of-two sizes N, the ones
-    the CLI asks for and the pipeline uses; other sizes are not covered.
+    t = ceil(log2 g) counts the stages of power-of-two grids, the ones the
+    CLI asks for and the pipeline uses; other sizes are not covered.
     """
     p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "derivative")
     if not M:
@@ -340,8 +339,9 @@ def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
     s2 = float(np.sum(r / (1.0 - r) ** 2))
     tail = 2.0 * float(np.sum(r ** (M + 1) / (1.0 - r)))
     power = 2.0 * _U * (3.0 * s2 + (4.0 * math.sqrt(max(len(p.points), len(q.points))) + 4.0) * s1)
-    t = (_fft_size(g, M) - 1).bit_length()
-    fft = 2.0 * 7.0 * t * _U * s1 + _U * (abs(len(p.zeros) - len(q.zeros)) + 2.0 * s1)
+    t = (g - 1).bit_length()
+    rows = -(-(M + 1) // g)
+    fft = 2.0 * (7.0 * t + rows - 1) * _U * s1 + _U * (abs(len(p.zeros) - len(q.zeros)) + 2.0 * s1)
     return 1.05 * (tail + power + fft)
 
 
@@ -355,11 +355,6 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     principal argument of Q(1).
     """
     p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
-    return _arg_grid(Q, p, q, M, g)
-
-
-def _arg_grid(Q: BlaschkeQuotient, p: _ZeroSet, q: _ZeroSet, M: int, g: int) -> np.ndarray:
-    """quotient_arg_grid on the "arg" plan of Q."""
     if M:
         core = -2.0 * _series_on_grid(_signed_power_sums(p, q, M) / np.arange(1, M + 1), g).imag
     else:
@@ -376,20 +371,8 @@ def _arg_grid(Q: BlaschkeQuotient, p: _ZeroSet, q: _ZeroSet, M: int, g: int) -> 
 
 
 def quotient_values_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
-    """Samples Q(e^{2 pi i j / g}); unimodular up to rounding."""
-    p, q, d, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
-    if M:
-        return np.exp(1j * _arg_grid(Q, p, q, M, g))
-    zeta = np.exp(1j * np.arange(g) * (TWO_PI / g))
-    out = np.full(g, complex(Q.numerator.sigma / Q.denominator.sigma), dtype=complex)
-    if d:
-        # zeta_j^d from the exact index d*j mod g
-        out *= np.exp(1j * (TWO_PI / g) * (d * np.arange(g) % g))
-    for zk in p.points:
-        out *= (zeta - zk) / (1.0 - np.conjugate(zk) * zeta)
-    for wk in q.points:
-        out *= (1.0 - np.conjugate(wk) * zeta) / (zeta - wk)
-    return out
+    """Samples Q(e^{2 pi i j / g}) as e^{i quotient_arg_grid}; unimodular up to rounding."""
+    return np.exp(1j * quotient_arg_grid(Q, g))
 
 
 def derivative_lipschitz_pointwise(Q: BlaschkeQuotient) -> float:
@@ -412,8 +395,8 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
     S_m = sum z_k^m - sum w_k^m, to which zeros at the origin add nothing.
     The tail over m > M is bounded by the exact geometric formula per point;
     M is the series order for tails below 1e-9, stretched for the m weights. Returns
-    (bound, M). Falls back to the per-point bound (returning M = 0) when the
-    series would be too long to be worth it.
+    (bound, M). Falls back to the per-point bound (returning M = 0) when _plan
+    finds the series unaffordable.
     """
     p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "slope")
     if not M:

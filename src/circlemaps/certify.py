@@ -7,11 +7,13 @@ certifier combines a sampled minimum with a certified Lipschitz bound on the
 derivative's slope, so a positive verdict carries a margin that is a true
 lower bound of the minimum, not a heuristic grid value.
 
-The certified slope bound is the minimum of two rigorous estimates: a
-per-point bound 2r(1+r)/(1-r)^3 summed over zeros and poles, and a power-sum
-bound 2 sum_m m|S_m| plus a closed-form geometric tail. The second captures
-the cancellation in large near-boundary configurations (ring constructions)
-where the per-point bound is astronomically pessimistic.
+The certified slope bound is derivative_lipschitz_moment: the power-sum
+bound 2 sum_m m|S_m| plus a closed-form geometric tail, which captures the
+cancellation in large near-boundary configurations (ring constructions),
+and the per-point bound sum 2r(1+r)/(1-r)^3 over zeros and poles where the
+series is unaffordable. Where the series exists the per-point bound is never
+the smaller: |S_m| <= sum_k r_k^m caps the moment bound at
+sum_k 2r_k/(1-r_k)^2, below each point's 2r_k(1+r_k)/(1-r_k)^3.
 
 Boundary cases with true minimum exactly zero are undecidable by grids; only
 the closed-form certifier for the quadratic-over-one-factor family reports
@@ -33,7 +35,6 @@ from .blaschke import (
     GridTooCoarseError,
     derivative_grid_error,
     derivative_lipschitz_moment,
-    derivative_lipschitz_pointwise,
     quotient_arg_derivative,
     quotient_derivative_grid,
 )
@@ -85,9 +86,7 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
         witness = theta if _verified_negative(Q, theta) else None
         return CertificationResult(NOT_HOMEOMORPHISM, float(D[j]), g, witness)
 
-    L_point = derivative_lipschitz_pointwise(Q)
-    L_moment, _ = derivative_lipschitz_moment(Q)
-    L = min(L_point, L_moment)
+    L, _ = derivative_lipschitz_moment(Q)
 
     best_margin = -math.inf
     while True:

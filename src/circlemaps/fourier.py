@@ -87,7 +87,12 @@ class FourierSpectrum:
 
 
 def fourier_coefficients(mp: SampledCircleMap, tolerance: float = DEFAULT_SUPPORT_TOL) -> FourierSpectrum:
-    """DFT coefficients over the window |n| <= m/2 - 1 (trapezoid quadrature)."""
+    """DFT coefficients over the window |n| <= m/2 - 1 (trapezoid quadrature).
+
+    tolerance, the support threshold, must be finite and >= 0.
+    """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     m = mp.m
     F = np.fft.fft(mp.values) / m
     half = m // 2

@@ -165,5 +165,5 @@ def mobius_map(a, m: int = 4096) -> SampledCircleMap:
 def rational_family(Q: BlaschkeQuotient, m: int = 4096) -> SampledCircleMap:
     """Sample a Blaschke quotient on the grid as a unimodular circle map."""
     vals = quotient_values_grid(Q, m)
-    vals = vals / np.abs(vals)  # scrub accumulated rounding in long products
+    vals = vals / np.abs(vals)  # scrub the rounding of exp off the unit circle
     return SampledCircleMap(vals, "unimodular")

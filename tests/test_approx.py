@@ -262,3 +262,28 @@ def test_approximate_homeomorphism_evaluates_each_lift_once_on_the_check_grid(mo
         assert len(lifts) >= 2
         for f in lifts:
             assert sum(p is f.psi for p in evaluated) <= 1
+
+
+_PL_LIFT = CircleLift.from_breakpoints([(0, 0), (math.pi / 2, math.pi), (2 * np.pi, 2 * np.pi)])
+_SMOOTH_U = PeriodicC1Function.from_callable(lambda th: 0.3 * np.sin(th), lambda th: 0.3 * np.cos(th))
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda b: approximate_homeomorphism(_PL_LIFT, b, "above"), b, id=f"homeomorphism-{b}")
+    for b in (math.nan, math.inf, 0.0, -1.0)
+] + [
+    pytest.param(lambda b: kernel_ring_split(0.5, b), b, id=f"ring_split-{b}") for b in (math.nan, math.inf, 0.0)
+] + [
+    pytest.param(lambda b: kernel_pair_approximation(np.cos, b), b, id=f"pair-{b}") for b in (math.nan, math.inf)
+] + [
+    pytest.param(lambda b: kernel_sum_approximation(np.cos, b), b, id=f"kernel_sum-{b}") for b in (math.nan, math.inf)
+] + [
+    pytest.param(lambda b: approximate_c1(_SMOOTH_U, b), b, id=f"c1-{b}") for b in (math.nan, math.inf)
+] + [
+    pytest.param(lambda b: fourier_coefficients(rational_family(identity_quotient(), 4096), b), b,
+                 id=f"fourier-{b}")
+    for b in (math.nan, math.inf, -1.0)
+])
+def test_library_budgets_must_be_finite_and_in_range(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)

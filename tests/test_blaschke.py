@@ -515,3 +515,127 @@ def test_continuous_arg_reads_quotient_arg_grid(monkeypatch, rng):
     for q in (identity_quotient(), Q):
         continuous_arg(q, 1024)
     assert calls == {"arg": 2, "values": 0}
+
+
+def _padded_series_reference(coeffs, g):
+    """The former _series_on_grid: zero-pad to g * 2^k > M + 1 points, one FFT, keep every 2^k-th value."""
+    M = len(coeffs)
+    ge = g
+    while ge < M + 2:
+        ge *= 2
+    c = np.zeros(ge, dtype=complex)
+    c[1 : M + 1] = coeffs
+    return np.fft.fft(c)[:: ge // g]
+
+
+@pytest.mark.parametrize("g", [64, 4096])
+def test_folded_series_matches_the_padded_reference(g):
+    from circlemaps.blaschke import _series_on_grid
+
+    rng = np.random.default_rng(g)
+    for M in (1, g // 2, g - 2, g - 1, g, 3 * g + 5, 40 * g):
+        c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        got, ref = _series_on_grid(c, g), _padded_series_reference(c, g)
+        assert len(got) == g
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(c)), M
+        if M <= g - 2:
+            assert np.array_equal(got, ref), M
+
+
+def _near_circle_pair():
+    """Two nonzero points, one at radius 0.99999: a series far longer than any grid."""
+    return BlaschkeQuotient.make([0.0, 0.99999], [0.3])
+
+
+@pytest.mark.parametrize("case, g", [("smooth ring", 1024), ("near-circle pair", 64), ("near-circle pair", 4096)])
+def test_error_bound_covers_high_precision_derivative_where_the_series_folds(case, g):
+    mpmath = pytest.importorskip("mpmath")
+    from circlemaps import blaschke
+    from circlemaps.blaschke import derivative_grid_error
+
+    if case == "smooth ring":
+        ring = _smooth_ring()
+        Q = BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring)
+    else:
+        Q = _near_circle_pair()
+    assert blaschke._plan(Q.numerator.zeros, Q.denominator.zeros, "derivative")[3] > g
+    D = quotient_derivative_grid(Q, g)
+    E = derivative_grid_error(Q, g)
+    assert 0.0 < E < 1e-4
+    with mpmath.workdps(30):
+        zs = [mpmath.mpc(complex(z)) for z in Q.numerator.zeros]
+        ws = [mpmath.mpc(complex(w)) for w in Q.denominator.zeros]
+        for j in (0, 1, g // 5, g // 2 + 3, g - 1):
+            zeta = mpmath.expjpi(mpmath.mpf(2 * j) / g)
+            exact = (mpmath.fsum((1 - abs(z) ** 2) / abs(zeta - z) ** 2 for z in zs)
+                     - mpmath.fsum((1 - abs(w) ** 2) / abs(zeta - w) ** 2 for w in ws))
+            assert abs(D[j] - float(exact)) <= E, j
+
+
+def test_every_grid_is_one_fft_of_the_grid_size(monkeypatch):
+    sizes = []
+    fft = np.fft.fft
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    ring = _smooth_ring()
+    for Q in (_near_circle_pair(), BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring)):
+        for g in (64, 4096):
+            sizes.clear()
+            quotient_derivative_grid(Q, g)
+            quotient_arg_grid(Q, g)
+            quotient_values_grid(Q, g)
+            assert sizes == [g, g, g]
+
+
+def _direct_ring_quotient():
+    """The smooth ring's mirror with one more zero at radius 1 - 1e-6: no series is affordable."""
+    ring = _smooth_ring()
+    return BlaschkeQuotient.make([*ring, (1 - 1e-6) * cmath.exp(0.3j)], [0.0] * len(ring))
+
+
+def test_values_grid_reads_quotient_arg_grid_on_the_direct_path(monkeypatch):
+    from circlemaps import blaschke
+
+    calls = []
+    arg_grid = blaschke.quotient_arg_grid
+
+    def spy(Q, g):
+        calls.append(g)
+        return arg_grid(Q, g)
+
+    monkeypatch.setattr(blaschke, "quotient_arg_grid", spy)
+    Q = _direct_ring_quotient()
+    assert blaschke._plan(Q.numerator.zeros, Q.denominator.zeros, "arg")[3] == 0
+    assert np.array_equal(quotient_values_grid(Q, 1024), np.exp(1j * arg_grid(Q, 1024)))
+    assert calls == [1024]
+    # a monomial alone: sigma zeta^7 from the argument d * theta
+    sigma = cmath.exp(0.4j)
+    vals = quotient_values_grid(BlaschkeQuotient.make([0.0] * 7, [], sigma), 1024)
+    exact = sigma * np.exp(2j * np.pi * (7 * np.arange(1024) % 1024) / 1024)
+    assert np.max(np.abs(vals - exact)) < 1e-13
+
+
+def test_certify_reads_the_per_point_slope_bound_only_as_the_moment_fallback(monkeypatch):
+    from circlemaps import blaschke, certify
+
+    calls = []
+    pointwise = blaschke.derivative_lipschitz_pointwise
+
+    def spy(Q):
+        calls.append(Q)
+        return pointwise(Q)
+
+    # wherever the name is bound, so that a direct call from certify counts too
+    for mod in (blaschke, certify):
+        monkeypatch.setattr(mod, "derivative_lipschitz_pointwise", spy, raising=False)
+    ring = _smooth_ring()
+    assert certify.certify_quotient(BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring)).verdict == "Diffeomorphism"
+    assert calls == []
+    Q = _direct_ring_quotient()
+    # the ring's mirror dips below zero between its kernels
+    assert certify.certify_quotient(Q).verdict == "NotHomeomorphism"
+    assert calls == [Q]

@@ -16,12 +16,18 @@ The record holds, for the seed S (default 7):
   terminating_family_check sides on 2000 seeded instances;
 * sampled: homeo_check_sampled on seeded sampled maps, and the lifts
   CircleLift.from_samples builds from them;
-* continuous_arg: seeded quotients with points near the circle.
+* continuous_arg: seeded quotients with points near the circle;
+* grid_paths: values, argument and derivative grids (a fixed stride of each),
+  derivative_grid_error and certify_quotient on quotients that take the
+  direct path and on series whose order exceeds the grid.
 
 Floats are written with float.hex, so two records are equal exactly when the
-outputs are bitwise equal. --compare prints each key that differs and exits
-1 if any do. BLAS summation order can differ between builds and thread
-counts, so compare records made on one machine. The package is imported from
+outputs are bitwise equal. --compare prints each key that differs and, for
+each top-level section, how many keys differ, the largest absolute
+difference among the floats that differ and how many keys changed kind
+(raised against returned, type or length); it exits 1 if any key differs.
+BLAS summation order can differ between builds and thread counts, so
+compare records made on one machine. The package is imported from
 the src/ directory next to this file, so a record describes its own tree.
 """
 
@@ -44,7 +50,14 @@ import numpy as np  # noqa: E402
 
 import circlemaps as cm  # noqa: E402
 from circlemaps.approx import measure_c1_error  # noqa: E402
-from circlemaps.blaschke import GridTooCoarseError, continuous_arg  # noqa: E402
+from circlemaps.blaschke import (  # noqa: E402
+    GridTooCoarseError,
+    continuous_arg,
+    derivative_grid_error,
+    quotient_arg_grid,
+    quotient_derivative_grid,
+    quotient_values_grid,
+)
 from circlemaps.fourier import grid_theta  # noqa: E402
 import workloads  # noqa: E402
 
@@ -186,6 +199,38 @@ def continuous_args(seed: int) -> list:
     return out
 
 
+def _smooth_ring(n=1024, r=0.9875):
+    phi = TWO_PI * np.arange(n) / n
+    return r * np.exp(1j * (phi + 0.15 * np.sin(2 * phi) / n))
+
+
+def grid_paths(seed: int) -> dict:
+    """Direct-path quotients, and series longer than the grid, each read on every 1/256th of its grid."""
+    rng = np.random.default_rng(seed)
+    ring = _smooth_ring()
+    angles = rng.uniform(0.0, TWO_PI, 4)
+    cases = {
+        "ring_with_zero_at_1-1e-6": (cm.BlaschkeQuotient.make(
+            [*ring, (1 - 1e-6) * cmath.exp(1j * angles[0])], np.zeros(len(ring))), 8192),
+        "three_zeros_at_1-3e-6_over_0.5i": (cm.BlaschkeQuotient.make(
+            (1 - 3e-6) * np.exp(1j * angles[1:]), [0.5j]), 4096),
+        "sigma_zeta^7": (cm.BlaschkeQuotient.make(
+            np.zeros(7), [], cmath.exp(1j * rng.uniform(0.0, TWO_PI))), 1024),
+        "near_circle_pair_g64": (cm.BlaschkeQuotient.make([0.0, 0.99999], [0.3]), 64),
+        "near_circle_pair_g4096": (cm.BlaschkeQuotient.make([0.0, 0.99999], [0.3]), 4096),
+        "smooth_ring_g1024": (cm.BlaschkeQuotient.make(np.zeros(len(ring) + 1), ring), 1024),
+    }
+    out = {}
+    for name, (Q, g) in cases.items():
+        stride = max(1, g // 256)
+        out[name] = {"grid": g, "values": quotient_values_grid(Q, g)[::stride],
+                     "arg": quotient_arg_grid(Q, g)[::stride],
+                     "derivative": quotient_derivative_grid(Q, g)[::stride],
+                     "derivative_grid_error": derivative_grid_error(Q, g),
+                     "certification": _certificate(cm.certify_quotient(Q))}
+    return out
+
+
 def record(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         return encode({
@@ -196,6 +241,7 @@ def record(seed: int) -> dict:
             "sufficient_conditions": sufficient_conditions(seed),
             "sampled": sampled(seed),
             "continuous_arg": continuous_args(seed),
+            "grid_paths": grid_paths(seed),
         })
 
 
@@ -204,19 +250,40 @@ def _load(path: str):
         return json.load(fh)
 
 
+_MISSING = object()  # a key one record lacks; unequal to every value
+
+
 def differences(a, b, key: str = ""):
-    """Keys, as slash-separated paths, whose values differ between a and b."""
+    """(key, a's value, b's value) for each slash-separated key whose values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
-            if k not in a or k not in b:
-                yield f"{key}/{k}"
-            else:
-                yield from differences(a[k], b[k], f"{key}/{k}")
+            yield from differences(a.get(k, _MISSING), b.get(k, _MISSING), f"{key}/{k}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from differences(x, y, f"{key}/{i}")
     elif a != b:
-        yield key or "/"
+        yield key or "/", a, b
+
+
+def _hex_float(x):
+    try:
+        return float.fromhex(x) if isinstance(x, str) else None
+    except ValueError:
+        return None
+
+
+def summary(diff) -> dict:
+    """Per top-level section: keys that differ, the largest float difference, keys that changed kind."""
+    out = {}
+    for key, a, b in diff:
+        s = out.setdefault(key.split("/")[1], {"keys": 0, "max_abs": 0.0, "kind": 0})
+        s["keys"] += 1
+        x, y = _hex_float(a), _hex_float(b)
+        if x is not None and y is not None:
+            s["max_abs"] = max(s["max_abs"], abs(x - y))
+        elif type(a) is not type(b) or isinstance(a, list):  # lists reach here only with unequal lengths
+            s["kind"] += 1
+    return out
 
 
 def main(argv=None) -> int:
@@ -227,8 +294,11 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.compare:
         diff = list(differences(*map(_load, args.compare)))
-        for key in diff:
+        for key, _, _ in diff:
             print(key)
+        for section, s in summary(diff).items():
+            print(f"{section}: {s['keys']} keys differ, largest float difference {s['max_abs']:.3g}, "
+                  f"{s['kind']} changed kind", file=sys.stderr)
         print(f"{len(diff)} keys differ", file=sys.stderr)
         return 1 if diff else 0
     if not args.out:
