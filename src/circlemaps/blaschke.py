@@ -44,6 +44,7 @@ GRID_CAP = 2**20
 _SERIES_TAIL_TOL = 1e-11
 _U = 2.0**-53  # unit roundoff of float64
 _BLOCK = 2**21  # complex numbers per power-sum temporary (32 MB)
+_BLOCK_FOLD = 2**16  # coefficients per block of a series folded onto a smaller grid (1 MB)
 
 
 class GridTooCoarseError(RuntimeError):
@@ -179,7 +180,11 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     summed in groups of G = ceil(sqrt(n)), one product per group added in
     turn, so a sum carries at most G + n/G additions, not n (the rounding
     this leaves is bounded in derivative_grid_error). P and each chunk of W
-    hold at most _BLOCK complex numbers (32 MB).
+    hold at most _BLOCK complex numbers (32 MB). Once a row of W underflows
+    to 0, every later row is 0 too: the products stop at the last nonzero
+    row, and the rest of T keeps the +0 that they would give (each T starts
+    from +0, so that a sum of -0.0 products is +0.0 wherever it falls). A
+    set whose powers never underflow is summed to order M.
     """
     pts = np.ascontiguousarray(points, dtype=complex)
     out = np.zeros(M + 1, dtype=complex)
@@ -188,7 +193,9 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     if n == 0 or M == 0:
         return out
     b = min(M, 128, max(1, _BLOCK // n))
-    P = np.cumprod(np.broadcast_to(pts[:, None], (n, b)), axis=1)
+    P = np.empty((n, b), dtype=complex)
+    P[:] = pts[:, None]
+    np.cumprod(P, axis=1, out=P)
     zb = P[:, -1]
     G = math.isqrt(n - 1) + 1
     rows = -(-M // b)
@@ -197,12 +204,22 @@ def power_sums(points: Sequence[complex], M: int) -> np.ndarray:
     for q0 in range(0, rows, step):
         W = np.empty((min(step, rows - q0), n), dtype=complex)
         W[0] = first
-        W[1:] = zb
-        np.cumprod(W, axis=0, out=W)
+        if len(W) > 1:
+            W[1:] = zb
+            np.cumprod(W, axis=0, out=W)
         first = W[-1] * zb
-        T = sum(W[:, s : s + G] @ P[s : s + G] for s in range(0, n, G)).ravel()
+        underflow = not first.any()
+        if underflow:
+            # keep two rows, as the whole W had: numpy sends a one-row product to
+            # a vector product, which rounds differently
+            W = W[: max(2, np.count_nonzero(W.any(axis=1)))]
+        T = np.zeros((len(W), b), dtype=complex)
+        for s in range(0, n, G):
+            T += W[:, s : s + G] @ P[s : s + G]
         lo = 1 + q0 * b
-        out[lo : lo + len(T)] = T[: M + 1 - lo]
+        out[lo : lo + T.size] = T.ravel()[: M + 1 - lo]
+        if underflow:
+            break
     return out
 
 
@@ -244,21 +261,32 @@ def _series_on_grid(coeffs: np.ndarray, g: int) -> np.ndarray:
     goes to bin m mod g: the bins are the column sums of the ceil((M+1)/g)
     rows of length g that the coefficients fill in order, exactly the series
     on the grid (trapezoid-rule aliasing). One FFT of size g reads them; when
-    M + 1 <= g the single row goes to it unchanged.
+    M + 1 <= g the single row goes to it unchanged. Longer series are folded
+    from slices, about _BLOCK_FOLD coefficients at a time, each block stacked
+    under the bins so far and summed down its columns, so the rows add in
+    order and the series is never copied whole.
     """
     M = len(coeffs)
-    c = np.zeros(-(-(M + 1) // g) * g, dtype=complex)
-    c[1 : M + 1] = coeffs
-    return np.fft.fft(c.reshape(-1, g).sum(axis=0) if len(c) > g else c)
+    c = np.zeros(g, dtype=complex)
+    c[1 : M + 1] = coeffs[: g - 1]
+    k = max(1, _BLOCK_FOLD // g)  # rows per block
+    for i in range(g - 1, M, k * g):
+        block = coeffs[i : i + k * g]
+        rows = np.zeros((1 + -(-len(block) // g), g), dtype=complex)
+        rows[0] = c
+        rows[1:].reshape(-1)[: len(block)] = block
+        c = rows.sum(axis=0)
+    return np.fft.fft(c)
 
 
 def _signed_power_sums(p: _ZeroSet, q: _ZeroSet, M: int) -> np.ndarray:
     """S_m = sum z_k^m - sum w_k^m for m = 1..M."""
-    # a set short of order M computes its sums to the largest order any job asks of the pair
-    order = max(_plan(p, q, job)[3] for job in ("derivative", "arg", "slope"))
-    for zs in (p, q):
-        if len(zs.sums) <= M:
-            zs.sums = power_sums(zs.points, order)
+    if len(p.sums) <= M or len(q.sums) <= M:
+        # a set short of order M computes its sums to the largest order any job asks of the pair
+        order = max(_plan(p, q, job)[3] for job in ("derivative", "arg", "slope"))
+        for zs in (p, q):
+            if len(zs.sums) <= M:
+                zs.sums = power_sums(zs.points, order)
     return p.sums[1 : M + 1] - q.sums[1 : M + 1]
 
 
@@ -283,7 +311,9 @@ def poisson_sum_signed_grid(pos, neg, g: int) -> np.ndarray:
     """
     p, q, d, M = _plan(pos, neg, "derivative")
     if M:
-        return (len(p.zeros) - len(q.zeros)) + 2.0 * _series_on_grid(_signed_power_sums(p, q, M), g).real
+        out = 2.0 * _series_on_grid(_signed_power_sums(p, q, M), g).real
+        out += len(p.zeros) - len(q.zeros)
+        return out
     out = np.full(g, float(d))
     if len(p.points):
         out += poisson_sum_grid(p.points, g)
@@ -335,9 +365,10 @@ def derivative_grid_error(Q: BlaschkeQuotient, g: int) -> float:
     if not M:
         return 0.0
     r = np.abs(np.concatenate([p.points, q.points]))
-    s1 = float(np.sum(r / (1.0 - r)))
-    s2 = float(np.sum(r / (1.0 - r) ** 2))
-    tail = 2.0 * float(np.sum(r ** (M + 1) / (1.0 - r)))
+    w = 1.0 - r
+    s1 = float((r / w).sum())
+    s2 = float((r / w**2).sum())
+    tail = 2.0 * float((r ** (M + 1) / w).sum())
     power = 2.0 * _U * (3.0 * s2 + (4.0 * math.sqrt(max(len(p.points), len(q.points))) + 4.0) * s1)
     t = (g - 1).bit_length()
     rows = -(-(M + 1) // g)
@@ -356,15 +387,20 @@ def quotient_arg_grid(Q: BlaschkeQuotient, g: int) -> np.ndarray:
     """
     p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
     if M:
-        core = -2.0 * _series_on_grid(_signed_power_sums(p, q, M) / np.arange(1, M + 1), g).imag
+        S = _signed_power_sums(p, q, M)
+        S /= np.arange(1, M + 1)
+        core = _series_on_grid(S, g).imag
+        core *= -2.0
     else:
-        core = _arg_sum_grid(p.points, g) - _arg_sum_grid(q.points, g)
-    theta = np.arange(g) * (TWO_PI / g)
-    sigma_arg = cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
-    vals = sigma_arg + Q.degree_difference * theta + core
+        core = _arg_sum_grid(p.points, g)
+        core -= _arg_sum_grid(q.points, g)
+    # sigma_arg + d * theta + core, built in place
+    vals = np.arange(g) * (TWO_PI / g)
+    vals *= Q.degree_difference
+    vals += cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
+    vals += core
     # reduce the anchor to the principal branch at theta = 0
-    shift = vals[0] - math.remainder(vals[0], TWO_PI)
-    vals = vals - shift
+    vals -= vals[0] - math.remainder(vals[0], TWO_PI)
     if vals[0] > math.pi:
         vals -= TWO_PI
     return vals
@@ -401,12 +437,12 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
     p, q, _, M = _plan(Q.numerator._zero_set, Q.denominator._zero_set, "slope")
     if not M:
         return derivative_lipschitz_pointwise(Q), 0
-    S = _signed_power_sums(p, q, M)
-    m = np.arange(1, M + 1)
-    bound = 2.0 * float(np.sum(m * np.abs(S)))
+    mS = np.abs(_signed_power_sums(p, q, M))
+    mS *= np.arange(1, M + 1)
+    bound = 2.0 * float(mS.sum())
     # tail: 2 * sum_k sum_{m>M} m r^m = 2 * sum_k r^{M+1}((M+1) - M r)/(1-r)^2
     r = np.abs(np.concatenate([p.points, q.points]))
-    tail = 2.0 * float(np.sum(r ** (M + 1) * ((M + 1) - M * r) / (1.0 - r) ** 2))
+    tail = 2.0 * float((r ** (M + 1) * ((M + 1) - M * r) / (1.0 - r) ** 2).sum())
     return bound + tail, M
 
 

@@ -46,10 +46,12 @@ class SampledCircleMap:
         _check_grid_size(len(self.values))
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("sampled values must be finite")
         if self.kind == "unimodular":
-            dev = float(np.max(np.abs(np.abs(self.values) - 1.0)))
+            dev = np.abs(self.values)
+            dev -= 1.0
+            dev = float(np.abs(dev, out=dev).max())
             if dev >= UNIMODULAR_TOL:
                 raise ValueError(f"unimodular map deviates from |f|=1 by {dev:.3e}")
 
@@ -94,11 +96,11 @@ def fourier_coefficients(mp: SampledCircleMap, tolerance: float = DEFAULT_SUPPOR
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     m = mp.m
-    F = np.fft.fft(mp.values) / m
+    F = np.fft.fft(mp.values)
     half = m // 2
-    ns = np.arange(-(half - 1), half)
-    coeffs = F[ns % m]
-    return FourierSpectrum(ns, coeffs, m, tolerance)
+    coeffs = np.concatenate((F[m - half + 1 :], F[:half]))
+    coeffs /= m
+    return FourierSpectrum(np.arange(-(half - 1), half), coeffs, m, tolerance)
 
 
 def support(spec: FourierSpectrum) -> set:

@@ -163,7 +163,8 @@ def mobius_map(a, m: int = 4096) -> SampledCircleMap:
 
 
 def rational_family(Q: BlaschkeQuotient, m: int = 4096) -> SampledCircleMap:
-    """Sample a Blaschke quotient on the grid as a unimodular circle map."""
-    vals = quotient_values_grid(Q, m)
-    vals = vals / np.abs(vals)  # scrub the rounding of exp off the unit circle
-    return SampledCircleMap(vals, "unimodular")
+    """Sample a Blaschke quotient on the grid as a unimodular circle map.
+
+    The values are e^{i arg}, unimodular to within the rounding of exp.
+    """
+    return SampledCircleMap(quotient_values_grid(Q, m), "unimodular")

@@ -639,3 +639,112 @@ def test_certify_reads_the_per_point_slope_bound_only_as_the_moment_fallback(mon
     # the ring's mirror dips below zero between its kernels
     assert certify.certify_quotient(Q).verdict == "NotHomeomorphism"
     assert calls == [Q]
+
+
+def _same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _power_sums_reference(points, M):
+    """The generator-sum form of power_sums: P from a broadcast, every row of W to order M."""
+    import math
+
+    from circlemaps.blaschke import _BLOCK
+
+    pts = np.ascontiguousarray(points, dtype=complex)
+    out = np.zeros(M + 1, dtype=complex)
+    n = len(pts)
+    out[0] = n
+    if n == 0 or M == 0:
+        return out
+    b = min(M, 128, max(1, _BLOCK // n))
+    P = np.cumprod(np.broadcast_to(pts[:, None], (n, b)), axis=1)
+    zb = P[:, -1]
+    G = math.isqrt(n - 1) + 1
+    rows = -(-M // b)
+    step = max(1, _BLOCK // n)
+    first = np.ones(n, dtype=complex)
+    for q0 in range(0, rows, step):
+        W = np.empty((min(step, rows - q0), n), dtype=complex)
+        W[0] = first
+        W[1:] = zb
+        np.cumprod(W, axis=0, out=W)
+        first = W[-1] * zb
+        T = sum(W[:, s : s + G] @ P[s : s + G] for s in range(0, n, G)).ravel()
+        lo = 1 + q0 * b
+        out[lo : lo + len(T)] = T[: M + 1 - lo]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 11, 257, 1024])
+def test_power_sums_match_the_generator_sum_reference_bitwise(n):
+    # orders past the one where the largest power underflows to 0 (1075 ln 2 / -ln r, plus
+    # the rounding of subnormals), where power_sums stops; points on the axes give -0.0 terms
+    rng = np.random.default_rng(n)
+    for r in (1e-6, 0.1, 0.3, 0.6, 0.9, 0.99):
+        zero_order = int(1.3 * 1075 * np.log(2) / -np.log(r)) + 300
+        for pts in (random_disk_points(rng, n, r), -r * rng.uniform(0.5, 1.0, n) + 0j,
+                    1j * r * rng.uniform(-1.0, 1.0, n)):
+            pts[0] = r * pts[0] / abs(pts[0])
+            for M in (1, 60, 128, 129, min(zero_order, 2 * 10**7 // n)):
+                assert _same_bits(power_sums(pts, M), _power_sums_reference(pts, M)), (r, M)
+
+
+def test_each_set_of_the_near_circle_pair_sums_to_full_order_bitwise():
+    from circlemaps import blaschke
+
+    Q = _near_circle_pair()
+    p, q = Q.numerator._zero_set, Q.denominator._zero_set
+    order = max(blaschke._plan(p, q, job)[3] for job in ("derivative", "arg", "slope"))
+    assert order > 3 * 10**6
+    blaschke.derivative_lipschitz_moment(Q)
+    for zs in (p, q):
+        assert len(zs.sums) == order + 1
+        assert _same_bits(zs.sums, _power_sums_reference(zs.points, order))
+    # the pole at 0.3 underflows to 0 from m = 619 on
+    assert np.all(q.sums[619:] == 0) and q.sums[618] != 0
+
+
+def _arg_grid_reference(Q, g):
+    """quotient_arg_grid as one expression, with a temporary per operation."""
+    import math
+
+    from circlemaps import blaschke
+    from circlemaps.disk import TWO_PI
+
+    p, q, _, M = blaschke._plan(Q.numerator._zero_set, Q.denominator._zero_set, "arg")
+    if M:
+        S = blaschke._signed_power_sums(p, q, M)
+        core = -2.0 * blaschke._series_on_grid(S / np.arange(1, M + 1), g).imag
+    else:
+        core = blaschke._arg_sum_grid(p.points, g) - blaschke._arg_sum_grid(q.points, g)
+    theta = np.arange(g) * (TWO_PI / g)
+    sigma_arg = cmath.phase(Q.numerator.sigma / Q.denominator.sigma)
+    vals = sigma_arg + Q.degree_difference * theta + core
+    shift = vals[0] - math.remainder(vals[0], TWO_PI)
+    vals = vals - shift
+    if vals[0] > math.pi:
+        vals -= TWO_PI
+    return vals
+
+
+def test_arg_grid_matches_the_expression_reference_bitwise_on_both_paths(rng):
+    from circlemaps import blaschke
+    from conftest import random_pseudo_instance
+
+    ring = _smooth_ring()
+    cases = [(identity_quotient(cmath.exp(2.5j)), 64),
+             (BlaschkeQuotient.make([0.0] * (len(ring) + 1), ring), 1024),
+             (_near_circle_pair(), 64), (_near_circle_pair(), 4096),
+             (_direct_ring_quotient(), 1024),
+             (BlaschkeQuotient.make((1 - 3e-6) * np.exp([1j, 2.5j, 4j]), [0.5j], cmath.exp(-2j)), 4096)]
+    for _ in range(6):
+        z, w = random_pseudo_instance(rng)
+        cases.append((BlaschkeQuotient.make(z, w, cmath.exp(1j * rng.uniform(0, 2 * np.pi))), 4096))
+    paths = set()
+    for Q, g in cases:
+        paths.add(blaschke._plan(Q.numerator.zeros, Q.denominator.zeros, "arg")[3] > 0)
+        assert _same_bits(quotient_arg_grid(Q, g), _arg_grid_reference(Q, g))
+    assert paths == {True, False}

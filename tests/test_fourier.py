@@ -212,3 +212,16 @@ def test_sampled_map_rejects_non_finite():
         v[5] = bad
         with pytest.raises(ValueError):
             SampledCircleMap(v)
+
+
+@pytest.mark.parametrize("m", [64, 4096])
+def test_coefficient_window_matches_the_modular_gather_bitwise(m):
+    rng = np.random.default_rng(m)
+    maps = [mobius_map(0.4 - 0.3j, m), identity_map(m),
+            SampledCircleMap(rng.standard_normal(m) + 1j * rng.standard_normal(m))]
+    for mp in maps:
+        spec = fourier_coefficients(mp)
+        F = np.fft.fft(mp.values) / m
+        ns = np.arange(-(m // 2 - 1), m // 2)
+        assert np.array_equal(spec.ns, ns)
+        assert spec.coefficients.tobytes() == F[ns % m].tobytes()

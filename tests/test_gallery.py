@@ -169,3 +169,20 @@ def test_bounded_support_homeomorphisms_are_rotations(homeo_gallery):
             assert loose == {1}, name
         else:
             assert loose != {1}, name
+
+
+def test_rational_family_is_exp_of_the_argument_grid(rng):
+    import cmath
+
+    from circlemaps.blaschke import BlaschkeQuotient, identity_quotient, quotient_arg_grid
+    from conftest import random_pseudo_instance
+
+    quotients = [identity_quotient(cmath.exp(0.7j)), BlaschkeQuotient.make([0.0, 0.99999], [0.3])]
+    for _ in range(4):
+        z, w = random_pseudo_instance(rng)
+        quotients.append(BlaschkeQuotient.make(z, w, cmath.exp(1j * rng.uniform(0, 2 * np.pi))))
+    for Q in quotients:
+        for m in (64, 4096):
+            vals = rational_family(Q, m).values
+            assert vals.tobytes() == np.exp(1j * quotient_arg_grid(Q, m)).tobytes()
+            assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-15

@@ -12,6 +12,9 @@ The record holds, for the seed S (default 7):
   (2 pi, 2 pi) approximated at eps 0.05 in both directions;
 * criterion_2: the C1 approximation of 0.3 sin + 0.1 cos 2 at eps 0.1;
 * smooth_cli: the benchmark's smooth_cli output file;
+* gallery_scan: the benchmark's gallery_scan curves: spectrum window and
+  coefficients, support, enclosed area, Parseval defect, embedding verdict
+  and witness, and the horconvex and Heinz reports;
 * sufficient_conditions: pseudo_condition, radial_sufficient and both
   terminating_family_check sides on 2000 seeded instances;
 * sampled: homeo_check_sampled on seeded sampled maps, and the lifts
@@ -129,6 +132,20 @@ def smooth_cli(seed: int, workdir: str) -> dict:
     return {"exit": rc, "output": _load(path)}
 
 
+def gallery_scan(seed: int, workdir: str) -> list:
+    out = []
+    for _, run, _ in workloads.build("gallery_scan", seed, workdir):
+        res = run()
+        spec, emb = res["spec"], res["embedding"]
+        out.append({"kind": res["mp"].kind, "window": [spec.ns[0], spec.ns[-1]],
+                    "coefficients": spec.coefficients, "support": sorted(res["support"]),
+                    "area": res["area"], "parseval": res["parseval"],
+                    "embedding": {"simple": emb.simple, "witness": emb.witness},
+                    "horconvex": res["horconvex"].to_json_dict(),
+                    "heinz": res["heinz"].to_json_dict() if "heinz" in res else None})
+    return out
+
+
 def _disk_points(rng, n, rmax):
     return rmax * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
 
@@ -238,6 +255,7 @@ def record(seed: int) -> dict:
             "criterion_3": criterion_3(),
             "criterion_2": criterion_2(),
             "smooth_cli": smooth_cli(seed, workdir),
+            "gallery_scan": gallery_scan(seed, workdir),
             "sufficient_conditions": sufficient_conditions(seed),
             "sampled": sampled(seed),
             "continuous_arg": continuous_args(seed),
