@@ -39,7 +39,7 @@ from .blaschke import (
     quotient_derivative_grid,
 )
 from .fourier import TrigSeries, grid_theta, phase_steps, sup_norm
-from .certify import DIFFEOMORPHISM, certify_quotient
+from .certify import DIFFEOMORPHISM, certify_quotient, terminating_family_quotient
 
 MEAN_TOL = 1e-8
 R_FLOOR = 1e-6
@@ -301,7 +301,7 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
             )
         min_n = 2 * n_neg
     out = PoissonCombination.make(comb._positive_set, (), n_neg)
-    g_v = _verify_grid_size(log.get("verify_grid", MIN_VERIFY_GRID) // 4 or 1024)
+    g_v = log["verify_grid"]
     err = sup_norm(out.evaluate_grid(g_v) - hs.resample(g_v))
     if err >= eps:
         raise ApproximationBudgetError(f"verified error {err:.3e} >= eps = {eps:.3e}")
@@ -373,6 +373,8 @@ def _fit_c1(u: PeriodicC1Function, eps_k: float, grid: int, tries: int, shrink: 
     holding eps_kernel and verify_grid, and whether it was accepted.
     """
     us = u.as_series(grid)
+    if not np.isfinite(us.coef).all():
+        raise ValueError("the function to fit must be finite")
     hs = us.derivative()
     for _ in range(tries):
         comb, log = kernel_sum_approximation(hs, eps_k, grid)
@@ -430,6 +432,8 @@ class CircleLift:
         and be strictly increasing in both coordinates.
         """
         pts = sorted((float(t), float(v)) for t, v in breakpoints)
+        if not np.isfinite(pts).all():
+            raise ValueError("breakpoints must be finite")
         ts = np.array([p[0] for p in pts])
         vs = np.array([p[1] for p in pts])
         if abs((ts[-1] - ts[0]) - TWO_PI) > 1e-12 or abs((vs[-1] - vs[0]) - TWO_PI) > 1e-12:
@@ -442,6 +446,8 @@ class CircleLift:
     def from_samples(cls, values: np.ndarray) -> "CircleLift":
         """Lift of a sampled sense-preserving circle map, linearly interpolated."""
         vals = np.asarray(values, dtype=complex)
+        if not np.isfinite(vals).all():
+            raise ValueError("samples must be finite")
         F = np.angle(vals[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(vals)[:-1])])
         F = np.append(F, F[0] + TWO_PI)  # the exact turn, not the closing step
         theta = np.append(grid_theta(len(vals)), TWO_PI)
@@ -552,6 +558,8 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
     lift = as_circle_lift(f)
     g_chk = MIN_VERIFY_GRID
     psi_raw = lift.psi.values_on_grid(g_chk)
+    if not np.isfinite(psi_raw).all():
+        raise ValueError("input lift is not finite on the grid")
     m0 = _secant_slope(psi_raw)
     if m0 <= 0:
         raise ValueError("input lift is not strictly increasing (not sense-preserving)")
@@ -578,14 +586,9 @@ def approximate_homeomorphism(f, eps: float, direction: str = "below",
     fit, ok = _fit_c1(u, eps_k, grid, 5, 0.4, lambda s, d: d < margin and s <= sup_budget)
     if not ok:
         raise ApproximationBudgetError("could not meet the uniform and derivative budgets")
-    B, n = fit.blaschke, fit.n
-    if direction == "below":
-        if n == 0:
-            Q = BlaschkeQuotient.make([0.0], [], B.sigma)
-        else:
-            Q = BlaschkeQuotient.make(B._zero_set, (0.0,) * (n - 1), B.sigma)
-    else:
-        Q = BlaschkeQuotient.make((0.0,) * (n + 1), B._zero_set, np.conjugate(B.sigma))
+    B = fit.blaschke
+    Q = terminating_family_quotient(direction, B._zero_set,
+                                    B.sigma if direction == "below" else np.conjugate(B.sigma))
 
     cert = certify_quotient(Q)
     if cert.verdict != DIFFEOMORPHISM:

@@ -487,9 +487,14 @@ def continuous_arg(Q: BlaschkeQuotient, grid_size: int):
         raise ValueError("grid_size must be at least 16")
     vals = quotient_arg_grid(Q, grid_size)
     out = np.append(vals, vals[0] + TWO_PI * Q.degree_difference)
-    if np.any(np.abs(np.diff(out)) >= np.pi * (1 - 1e-9)):
-        raise GridTooCoarseError("adjacent samples differ by pi or more; refine the grid")
+    _refuse_coarse_steps(np.diff(out))
     return np.linspace(0.0, TWO_PI, grid_size + 1), out
+
+
+def _refuse_coarse_steps(steps) -> None:
+    """Raise GridTooCoarseError if an argument step between adjacent samples reaches pi."""
+    if np.any(np.abs(steps) >= np.pi * (1 - 1e-9)):
+        raise GridTooCoarseError("adjacent samples differ by pi or more; refine the grid")
 
 
 def continuous_arg_auto(Q: BlaschkeQuotient, grid_size: int = 4096):

@@ -11,7 +11,7 @@ an upper bound on the Gaussian curvature of a minimal graph at the center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -36,17 +36,7 @@ class HeinzReport:
     weitsman_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "c_minus1": [self.c_minus1.real, self.c_minus1.imag],
-            "c_0": [self.c_0.real, self.c_0.imag],
-            "c_plus1": [self.c_plus1.real, self.c_plus1.imag],
-            "hall_lhs": self.hall_lhs,
-            "hall_rhs": self.hall_rhs,
-            "weitsman_lhs": self.weitsman_lhs,
-            "weitsman_rhs": self.weitsman_rhs,
-            "hall_ok": self.hall_ok,
-            "weitsman_ok": self.weitsman_ok,
-        }
+        return {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in asdict(self).items()}
 
 
 def heinz_report(mp: SampledCircleMap) -> HeinzReport:
@@ -76,14 +66,7 @@ class HorconvexReport:
     lhs: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_horconvex": self.is_horconvex,
-            "delta": self.delta,
-            "L": self.L,
-            "L_estimator": self.L_estimator,
-            "bound": self.bound,
-            "lhs": self.lhs,
-        }
+        return asdict(self)
 
 
 def horconvex_report(mp: SampledCircleMap, lipschitz: float = None) -> HorconvexReport:

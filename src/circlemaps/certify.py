@@ -22,7 +22,7 @@ HomeomorphismBoundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 from typing import Optional, Sequence
 
@@ -32,13 +32,15 @@ from .disk import TWO_PI, as_disk, disk_array, pseudo_distances
 from .blaschke import (
     GRID_CAP,
     BlaschkeQuotient,
-    GridTooCoarseError,
+    _as_zero_set,
+    _refuse_coarse_steps,
     derivative_grid_error,
     derivative_lipschitz_moment,
+    identity_quotient,
     quotient_arg_derivative,
     quotient_derivative_grid,
 )
-from .fourier import phase_steps
+from .fourier import UNIMODULAR_TOL, phase_steps
 
 DIFFEOMORPHISM = "Diffeomorphism"
 HOMEOMORPHISM_BOUNDARY = "HomeomorphismBoundary"
@@ -57,10 +59,7 @@ class CertificationResult:
     witness_theta: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {"verdict": self.verdict, "margin": self.margin, "grid_size": self.grid_size}
-        if self.witness_theta is not None:
-            out["witness_theta"] = self.witness_theta
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> CertificationResult:
@@ -70,11 +69,12 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
     point with (directly re-verified) negative derivative is found. Otherwise
     the certified minimum is grid minimum - pi * L / grid - evaluation error,
     with L the certified slope bound and the error bounded a priori on the
-    series path (derivative_grid_error). Positivity gives Diffeomorphism, and
-    hitting the 2^20 grid cap without a decision gives Inconclusive with the
-    best margin found. target_grid must be a power of two (the evaluation
-    error bound counts log2 of the grid's FFT stages); grids below 64 are
-    raised to 64.
+    series path (derivative_grid_error). The grid doubles until a positive
+    minimum has a slack of at most 0.5% of the grid minimum, or the grid is
+    2^18: Diffeomorphism. The 2^20 grid cap without a decision gives
+    Inconclusive with the best margin found. target_grid must be a power of
+    two (the evaluation error bound counts log2 of the grid's FFT stages);
+    grids below 64 are raised to 64.
     """
     if target_grid < 1 or target_grid & (target_grid - 1):
         raise ValueError(f"target_grid must be a power of two, got {target_grid}")
@@ -100,14 +100,8 @@ def certify_quotient(Q: BlaschkeQuotient, target_grid: int = 4096) -> Certificat
         slack = _slack(Q, L, g)
         certified = grid_min - slack
         best_margin = max(best_margin, certified)
-        if certified > 0:
-            # polish the reported margin a little before returning
-            while slack > 0.005 * grid_min and g < 2**18:
-                g *= 2
-                D = quotient_derivative_grid(Q, g)
-                grid_min = float(np.min(D))
-                slack = _slack(Q, L, g)
-            return CertificationResult(DIFFEOMORPHISM, grid_min - slack, g)
+        if certified > 0 and (slack <= 0.005 * grid_min or g >= 2**18):
+            return CertificationResult(DIFFEOMORPHISM, certified, g)
         if g >= GRID_CAP:
             return CertificationResult(INCONCLUSIVE, best_margin, g)
         g *= 2
@@ -141,7 +135,7 @@ def quadratic_quotient(a, sigma=1.0) -> BlaschkeQuotient:
     """
     a = as_disk(a)
     if a == 0:
-        return BlaschkeQuotient.make([0.0], [], sigma)
+        return identity_quotient(sigma)
     return BlaschkeQuotient.make([0.0, 0.0], [a], sigma)
 
 
@@ -231,19 +225,20 @@ def terminating_family_check(side: str, zeros: Sequence) -> bool:
     raise ValueError("side must be 'below' or 'above'")
 
 
-def terminating_family_quotient(side: str, zeros: Sequence, sigma=1.0) -> BlaschkeQuotient:
-    """Build B/zeta^{n-1} (below) or zeta^{n+1}/B (above), cancelling zeros at 0."""
-    zs = disk_array(zeros)
-    n = len(zs)
-    rest = zs[zs != 0]
-    at_zero = n - len(rest)
+def terminating_family_quotient(side: str, zeros, sigma=1.0) -> BlaschkeQuotient:
+    """Build B/zeta^{n-1} (below) or zeta^{n+1}/B (above), cancelling zeros at 0.
+
+    zeros are disk points, or a zero set that B keeps when none at 0 is cancelled.
+    """
+    zs = _as_zero_set(zeros)
+    n, at_zero = len(zs.zeros), zs.at_origin
     if side == "below":
-        cancel = min(at_zero, n - 1)
-        num = np.concatenate([rest, np.zeros(at_zero - cancel)])
+        cancel = min(at_zero, n - 1)  # -1 for n = 0: B/zeta^{-1} gains a zero
+        num = zs if cancel == 0 else np.concatenate([zs.points, np.zeros(at_zero - cancel)])
         return BlaschkeQuotient.make(num, np.zeros(n - 1 - cancel), sigma)
     if side == "above":
         # n+1 monomial zeros always cover the cancellation
-        return BlaschkeQuotient.make(np.zeros(n + 1 - at_zero), rest, sigma)
+        return BlaschkeQuotient.make(np.zeros(n + 1 - at_zero), zs if at_zero == 0 else zs.points, sigma)
     raise ValueError("side must be 'below' or 'above'")
 
 
@@ -264,11 +259,10 @@ def homeo_check_sampled(mp) -> HomeoScreen:
     "plausible": the exact criterion needs the true derivative.
     """
     vals = np.asarray(mp.values, dtype=complex)
-    if float(np.max(np.abs(np.abs(vals) - 1.0))) >= 1e-9:
+    if float(np.max(np.abs(np.abs(vals) - 1.0))) >= UNIMODULAR_TOL:
         return HomeoScreen("not-unimodular")
     d = phase_steps(vals)
-    if np.any(np.abs(d) >= np.pi * (1 - 1e-9)):
-        raise GridTooCoarseError("adjacent samples differ by pi or more; refine the grid")
+    _refuse_coarse_steps(d)
     j = int(np.argmin(d))
     if d[j] < -1e-9:
         return HomeoScreen("not-injective", (j, (j + 1) % len(vals)))

@@ -57,11 +57,7 @@ class DiskPoint:
     value: complex
 
     def __post_init__(self):
-        z = _as_complex(self.value)
-        if not abs(z) < 1.0 - BOUNDARY_MARGIN:  # NaN fails the comparison too
-            raise ValueError(f"point {z} is not finite or too close to the unit circle "
-                             f"(|z|={abs(z):.17g})")
-        object.__setattr__(self, "value", z)
+        object.__setattr__(self, "value", as_disk(self.value))
 
     def __complex__(self) -> complex:
         return self.value
@@ -69,9 +65,7 @@ class DiskPoint:
 
 def as_disk(z) -> complex:
     """Validate that z is strictly inside the disk and return it as complex."""
-    if isinstance(z, DiskPoint):
-        return z.value
-    return DiskPoint(complex(z)).value
+    return complex(disk_array(_as_complex(z))[0])
 
 
 def disk_array(points) -> np.ndarray:

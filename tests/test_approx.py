@@ -287,3 +287,16 @@ _SMOOTH_U = PeriodicC1Function.from_callable(lambda th: 0.3 * np.sin(th), lambda
 def test_library_budgets_must_be_finite_and_in_range(call, bad):
     with pytest.raises(ValueError, match="finite"):
         call(bad)
+
+
+def test_non_finite_lifts_and_functions_are_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        CircleLift.from_breakpoints([(0, 0), (math.nan, 1), (2 * np.pi, 2 * np.pi)])
+    samples = np.exp(1j * grid_theta(64))
+    samples[5] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        CircleLift.from_samples(samples)
+    with pytest.raises(ValueError, match="finite"):
+        approximate_homeomorphism(lambda th: np.where(th > 1.0, math.nan, th), 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        approximate_c1(lambda th: np.full_like(th, math.nan), 0.1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -135,3 +136,23 @@ def test_chain_inequality(homeo_gallery):
         lhs = rep.hall_lhs
         rhs = 0.5 * (abs(rep.c_minus1) + abs(rep.c_plus1)) ** 2
         assert lhs >= rhs - 1e-12, name
+
+
+def test_report_json_lists_the_fields_in_order():
+    mp = mobius_map(0.3 + 0.2j, 4096)
+    heinz, hor = heinz_report(mp), horconvex_report(mp)
+    ref = {
+        "c_minus1": [heinz.c_minus1.real, heinz.c_minus1.imag],
+        "c_0": [heinz.c_0.real, heinz.c_0.imag],
+        "c_plus1": [heinz.c_plus1.real, heinz.c_plus1.imag],
+        "hall_lhs": heinz.hall_lhs,
+        "hall_rhs": heinz.hall_rhs,
+        "weitsman_lhs": heinz.weitsman_lhs,
+        "weitsman_rhs": heinz.weitsman_rhs,
+        "hall_ok": heinz.hall_ok,
+        "weitsman_ok": heinz.weitsman_ok,
+    }
+    assert json.dumps(heinz.to_json_dict(), default=bool) == json.dumps(ref, default=bool)
+    ref = {"is_horconvex": hor.is_horconvex, "delta": hor.delta, "L": hor.L,
+           "L_estimator": hor.L_estimator, "bound": hor.bound, "lhs": hor.lhs}
+    assert json.dumps(hor.to_json_dict()) == json.dumps(ref)

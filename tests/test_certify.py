@@ -1,10 +1,20 @@
 import cmath
+import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlemaps.blaschke import BlaschkeQuotient, quotient_arg_derivative
+from circlemaps import certify
+from circlemaps.blaschke import (
+    GRID_CAP,
+    BlaschkeQuotient,
+    _as_zero_set,
+    derivative_lipschitz_moment,
+    quotient_arg_derivative,
+    quotient_derivative_grid,
+)
 from circlemaps.certify import (
     _embedding_check,
     DIFFEOMORPHISM,
@@ -99,6 +109,86 @@ def test_boundary_case_is_inconclusive_for_grid_method():
     res = certify_quotient(quadratic_quotient(1.0 / 3.0))
     assert res.verdict == INCONCLUSIVE
     assert res.margin <= 0
+
+
+def _two_loop_certify_reference(Q, target_grid=4096):
+    """The certifier as a search loop whose first positive margin is polished in a second loop."""
+    g = max(64, target_grid)
+    if Q.degree_difference != 1:
+        D = quotient_derivative_grid(Q, g)
+        j = int(np.argmin(D))
+        theta = 2 * np.pi * j / g
+        witness = theta if certify._verified_negative(Q, theta) else None
+        return certify.CertificationResult(NOT_HOMEOMORPHISM, float(D[j]), g, witness)
+    L, _ = derivative_lipschitz_moment(Q)
+    best_margin = -math.inf
+    while True:
+        D = quotient_derivative_grid(Q, g)
+        j = int(np.argmin(D))
+        grid_min = float(D[j])
+        if grid_min < certify._NEG_WITNESS_TOL:
+            theta = 2 * np.pi * j / g
+            if certify._verified_negative(Q, theta):
+                return certify.CertificationResult(NOT_HOMEOMORPHISM, grid_min, g, theta)
+        slack = certify._slack(Q, L, g)
+        certified = grid_min - slack
+        best_margin = max(best_margin, certified)
+        if certified > 0:
+            while slack > 0.005 * grid_min and g < 2**18:
+                g *= 2
+                grid_min = float(np.min(quotient_derivative_grid(Q, g)))
+                slack = certify._slack(Q, L, g)
+            return certify.CertificationResult(DIFFEOMORPHISM, grid_min - slack, g)
+        if g >= GRID_CAP:
+            return certify.CertificationResult(INCONCLUSIVE, best_margin, g)
+        g *= 2
+
+
+def _bits(res):
+    witness = None if res.witness_theta is None else res.witness_theta.hex()
+    return res.verdict, res.margin.hex(), res.grid_size, witness
+
+
+def test_one_loop_certifier_matches_the_two_loop_reference(rng):
+    # quadratic maps near |a| = 1/3 polish on grids up to 2^18, or give a witness past it
+    radii = [*rng.uniform(0.25, 0.34, 12), 1.0 / 3.0 - 1e-3, 1.0 / 3.0 - 1e-4]
+    quotients = [quadratic_quotient(r * cmath.exp(1j * t)) for r, t in zip(radii, rng.uniform(0, 2 * np.pi, 14))]
+    quotients += [quadratic_quotient(1.0 / 3.0),  # Inconclusive at the grid cap
+                  BlaschkeQuotient.make(random_disk_points(rng, 3, 0.5), [], 1.0),
+                  BlaschkeQuotient.make([0.0, 0.0], [0.4], 1.0),
+                  BlaschkeQuotient.make([0.2], [0.9], 1.0)]
+    quotients += [pseudo_quotient(*random_pseudo_instance(rng)) for _ in range(6)]
+    seen = []
+    for Q in quotients:
+        for g in (64, 4096):
+            res = certify_quotient(Q, g)
+            assert _bits(res) == _bits(_two_loop_certify_reference(Q, g))
+            seen.append((res.verdict, res.grid_size, Q.degree_difference))
+    assert any(v == DIFFEOMORPHISM and g > 4096 for v, g, _ in seen)
+    assert any(v == INCONCLUSIVE for v, _, _ in seen)
+    assert any(d != 1 for _, _, d in seen)
+    assert any(v == NOT_HOMEOMORPHISM and d == 1 for v, _, d in seen)
+
+
+def test_certificate_json_lists_its_fields_in_order():
+    for res in (certify_quotient(quadratic_quotient(0.25)), certify_quotient(quadratic_quotient(0.4))):
+        ref = {"verdict": res.verdict, "margin": res.margin, "grid_size": res.grid_size}
+        if res.witness_theta is not None:
+            ref["witness_theta"] = res.witness_theta
+        assert json.dumps(res.to_json_dict()) == json.dumps(ref)
+    assert "witness_theta" in res.to_json_dict()
+
+
+def test_terminating_family_quotient_shares_an_uncancelled_zero_set(rng):
+    zs = _as_zero_set(random_disk_points(rng, 4, 0.2))
+    assert terminating_family_quotient("below", zs).numerator._zero_set is zs
+    assert terminating_family_quotient("above", zs).denominator._zero_set is zs
+    sigma = cmath.exp(0.7j)
+    for side in ("below", "above"):
+        for zeros in ((), _as_zero_set(())):
+            Q = terminating_family_quotient(side, zeros, sigma)
+            assert Q.numerator.zeros.tolist() == [0j] and Q.denominator.degree == 0
+            assert Q(1.0) == pytest.approx(sigma, abs=1e-15)  # the rotation sigma zeta
 
 
 def test_pseudo_condition_thresholds():

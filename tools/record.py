@@ -6,10 +6,11 @@
 The record holds, for the seed S (default 7):
 
 * certify_mix: the benchmark's certify_mix inputs (bench/workloads.py, read
-  and not changed): verdicts, margins, grids, witnesses, degrees and the
+  and not changed): each certificate's to_json_dict, the degrees and the
   Heinz report's hall_lhs;
 * criterion_3: the piecewise-linear lift through (0, 0), (pi/2, pi),
-  (2 pi, 2 pi) approximated at eps 0.05 in both directions;
+  (2 pi, 2 pi) approximated at eps 0.05 in both directions, with each
+  certificate's to_json_dict;
 * criterion_2: the C1 approximation of 0.3 sin + 0.1 cos 2 at eps 0.1;
 * smooth_cli: the benchmark's smooth_cli output file;
 * gallery_scan: the benchmark's gallery_scan curves: spectrum window and
@@ -89,16 +90,11 @@ def _quotient(Q) -> dict:
             "sigma": Q.numerator.sigma / Q.denominator.sigma}
 
 
-def _certificate(cert) -> dict:
-    return {"verdict": cert.verdict, "margin": cert.margin, "grid": cert.grid_size,
-            "witness": cert.witness_theta}
-
-
 def certify_mix(seed: int, workdir: str) -> list:
     out = []
     for kind, run, _ in workloads.build("certify_mix", seed, workdir):
         Q, cert, heinz = run()
-        out.append(dict(_certificate(cert), kind=kind,
+        out.append(dict(cert.to_json_dict(), kind=kind,
                         degrees=[Q.numerator.degree, Q.denominator.degree],
                         hall_lhs=None if heinz is None else heinz.hall_lhs))
     return out
@@ -110,7 +106,7 @@ def criterion_3() -> dict:
     for direction in ("below", "above"):
         res = cm.approximate_homeomorphism(lift, 0.05, direction)
         out[direction] = dict(_quotient(res.quotient), sup_error=res.sup_error,
-                              certification=_certificate(res.certification), log=res.log)
+                              certification=res.certification.to_json_dict(), log=res.log)
     return out
 
 
@@ -244,7 +240,7 @@ def grid_paths(seed: int) -> dict:
                      "arg": quotient_arg_grid(Q, g)[::stride],
                      "derivative": quotient_derivative_grid(Q, g)[::stride],
                      "derivative_grid_error": derivative_grid_error(Q, g),
-                     "certification": _certificate(cm.certify_quotient(Q))}
+                     "certification": cm.certify_quotient(Q).to_json_dict()}
     return out
 
 
