@@ -87,13 +87,16 @@ class PeriodicC1Function:
 
     @classmethod
     def from_series(cls, series: TrigSeries) -> "PeriodicC1Function":
-        dseries = series.derivative()
-        return cls(series.eval, dseries.eval, series)
+        return cls(series.eval, lambda theta: series.derivative().eval(theta), series)
 
     def as_series(self, grid: int = 4096) -> TrigSeries:
-        if self.series is not None:
-            return self.series
-        return TrigSeries.from_samples(self.value(grid_theta(grid)))
+        """The carried series, else the series of the samples on the grid; it must be finite."""
+        series = self.series
+        if series is None:
+            series = TrigSeries.from_samples(self.value(grid_theta(grid)))
+        if not np.isfinite(series.coef).all():
+            raise ValueError("the function must be finite")
+        return series
 
     def values_on_grid(self, g: int) -> np.ndarray:
         if self.series is not None:
@@ -163,70 +166,69 @@ def _verify_grid_size(*construction_grids: int) -> int:
     return max(MIN_VERIFY_GRID, 4 * max(construction_grids))
 
 
-def kernel_pair_approximation(h, eps: float, grid: int = 4096, min_n: int = 64):
-    """Approximate a zero-mean continuous function by paired kernel rings.
+def _kernel_pairs(hs: TrigSeries, eps: float, grid: int):
+    """Each verified pair approximation of hs within eps, by increasing ring size.
 
-    Returns (PoissonCombination with equal counts and c = 0, log dict). The
-    radius r is the first of the halving schedule whose harmonic extension
-    matches h within eps/3 on the grid; the ring size n doubles from min_n
-    until the combination's measured sup error on the verification grid
-    drops below eps. Raises ApproximationBudgetError if r would exceed
-    1 - 1e-6 or n would exceed 2^16.
+    A negligible hs yields the empty combination alone. The antiderivative,
+    the radius search and the pre-check target serve every ring size.
     """
-    _check_eps(eps)
-    hs = _periodic(h).as_series(grid)
     m_work = max(hs.m, grid)
-    h_fine = hs.resample(m_work)
-    if sup_norm(h_fine) < min(eps * 1e-3, 1e-12) or sup_norm(h_fine) == 0.0:
-        return PoissonCombination.make(), {"r": None, "n": 0, "error": 0.0, "eps": eps}
-    if abs(hs.mean()) >= MEAN_TOL:
-        raise ValueError(f"mean {hs.mean():.3e} is not zero")
+    if sup_norm(hs.resample(m_work)) < min(eps * 1e-3, 1e-12):
+        yield PoissonCombination.make(), {"r": None, "n": 0, "error": 0.0, "eps": eps,
+                                          "verify_grid": _verify_grid_size(m_work)}
+        return
+    g_anti = periodic_antiderivative(hs, m_work).series
 
     # radius search: harmonic extension H(r zeta) must track h within eps/3
     k = np.abs(hs.freqs())
     h_2m = hs.resample(2 * m_work)
-    r = None
-    ext_err = None
     for j in range(64):
-        cand = 1.0 - 0.1 * 0.5**j
-        if cand > 1.0 - R_FLOOR:
+        r = 1.0 - 0.1 * 0.5**j
+        if r > 1.0 - R_FLOOR:
             raise ApproximationBudgetError(
                 f"harmonic extension cannot match within eps/3 = {eps / 3:.3e} "
                 f"before the radius floor; function too rough for this budget"
             )
-        damped = TrigSeries(hs.coef * cand**k)
-        err = sup_norm(damped.resample(2 * m_work) - h_2m)
-        if err < eps / 3.0:
-            r, ext_err = cand, err
+        damped = TrigSeries(hs.coef * r**k)
+        ext_err = sup_norm(damped.resample(2 * m_work) - h_2m)
+        if ext_err < eps / 3.0:
             break
-    assert r is not None
 
-    g_anti = periodic_antiderivative(hs, m_work).as_series()
-
-    n = max(64, min_n)
-    while n <= N_CAP:
+    g_pre = max(8192, _next_pow2(8.0 / (1.0 - r)))
+    h_pre = hs.resample(g_pre)
+    for n in (1 << j for j in range(6, N_CAP.bit_length())):  # 64, 128, ..., N_CAP
         # rings too sparse to overlap (n(1-r) small) cannot approximate at all
         if n * (1.0 - r) < 4.0 and n < N_CAP:
-            n *= 2
             continue
         phi = grid_theta(n)
         shifts = -g_anti.resample(n) / n
         zs = r * np.exp(1j * (phi + shifts))
         ws = r * np.exp(1j * phi)
         comb = PoissonCombination.make(zs, ws, 0)
-        g_pre = max(8192, _next_pow2(8.0 / (1.0 - r)))
-        pre = sup_norm(comb.evaluate_grid(g_pre) - hs.resample(g_pre))
+        pre = sup_norm(comb.evaluate_grid(g_pre) - h_pre)
         if pre < eps:
             g_v = _verify_grid_size(m_work, n)
             err = sup_norm(comb.evaluate_grid(g_v) - hs.resample(g_v))
             if err < eps:
-                log = {"r": r, "n": n, "error": err, "extension_error": ext_err,
-                       "eps": eps, "verify_grid": g_v}
-                return comb, log
-        n *= 2
+                yield comb, {"r": r, "n": n, "error": err, "extension_error": ext_err,
+                             "eps": eps, "verify_grid": g_v}
     raise ApproximationBudgetError(
         f"ring size cap {N_CAP} reached with error still above eps = {eps:.3e}"
     )
+
+
+def kernel_pair_approximation(h, eps: float, grid: int = 4096):
+    """Approximate a zero-mean continuous function by paired kernel rings.
+
+    Returns (PoissonCombination with equal counts and c = 0, log dict). The
+    radius r is the first of the halving schedule whose harmonic extension
+    matches h within eps/3 on the grid; the ring size n doubles from 64 until
+    the combination's measured sup error on the verification grid drops below
+    eps. Raises ApproximationBudgetError if r would exceed 1 - 1e-6 or n
+    would exceed 2^16.
+    """
+    _check_eps(eps)
+    return next(_kernel_pairs(_periodic(h).as_series(grid), eps, grid))
 
 
 def kernel_ring_split(w0, eps: float):
@@ -234,9 +236,9 @@ def kernel_ring_split(w0, eps: float):
 
     Returns (n, rotations) with rotations = w0 e^{2 pi i k/n}, k = 1..n-1,
     such that |P(w0,.) - n + sum_k P(rot_k,.)| < eps everywhere. n is the
-    smallest tried (doubling from 4) for which the trapezoid bound
-    2 pi M n / ((R/r)^n - 1), R = (1+r)/2, M = (1+R)/(1-R), is below eps;
-    the result is additionally verified on a grid.
+    smallest tried (doubling from 4, at most 2^16) for which the trapezoid
+    bound 2 pi M n / ((R/r)^n - 1), R = (1+r)/2, M = (1+R)/(1-R), is below
+    eps; the result is additionally verified on a grid.
     """
     _check_eps(eps)
     w0 = as_disk(w0)
@@ -251,6 +253,8 @@ def kernel_ring_split(w0, eps: float):
         if bound < eps:
             break
         n *= 2
+        if n > N_CAP:
+            raise ApproximationBudgetError(f"ring split needs over {N_CAP} kernels for eps = {eps:.3e}")
     rotations = tuple(w0 * np.exp(2j * np.pi * np.arange(1, n) / n))
     defect = ring_defect(w0, rotations)
     if defect >= eps:
@@ -276,30 +280,27 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
     """Approximate a zero-mean function by positive kernels minus a constant.
 
     Returns (PoissonCombination with empty negatives and constant equal to
-    the number of positive kernels, log dict). Built from the pair
-    approximation at budget eps/2; its negative kernels form a uniform ring,
-    which is replaced collectively by its count (the ring's own split
-    identity) with the remaining eps/2 verified on the grid.
+    the number of positive kernels, log dict). Built from the first pair
+    approximation at budget eps/2 whose negative ring, uniform, is replaced
+    collectively by its count (the ring's own split identity) within eps/2;
+    the result is verified on the grid.
     """
+    _check_eps(eps)
     hs = _periodic(h).as_series(grid)
-    min_n = 64
-    while True:
-        comb, log = kernel_pair_approximation(hs, eps / 2.0, grid, min_n)
-        if not comb.positives and not comb.negatives:
+    for comb, log in _kernel_pairs(hs, eps / 2.0, grid):
+        if not comb.negatives:
             return comb, log
         n_neg = len(comb.negatives)
         g_d = max(8192, _next_pow2(4 * n_neg))
         defect = sup_norm(poisson_sum_signed_grid(comb._negative_set, (), g_d) - n_neg)
         if defect < eps / 2.0:
             break
-        # the pair budget allows a ring too sparse to stand alone as the
-        # constant n; rebuild with a bigger ring (the defect decays like
-        # n r^n, so a doubling or two suffices)
+        # a ring too sparse to stand alone as the constant n: take the next
+        # one (the defect decays like n r^n, so a doubling or two suffices)
         if n_neg >= N_CAP:
             raise ApproximationBudgetError(
                 f"negative ring defect {defect:.3e} exceeds eps/2 at the ring cap"
             )
-        min_n = 2 * n_neg
     out = PoissonCombination.make(comb._positive_set, (), n_neg)
     g_v = log["verify_grid"]
     err = sup_norm(out.evaluate_grid(g_v) - hs.resample(g_v))
@@ -372,17 +373,13 @@ def _fit_c1(u: PeriodicC1Function, eps_k: float, grid: int, tries: int, shrink: 
     search, else eps_k is multiplied by shrink. Returns the last try, its log
     holding eps_kernel and verify_grid, and whether it was accepted.
     """
-    us = u.as_series(grid)
-    if not np.isfinite(us.coef).all():
-        raise ValueError("the function to fit must be finite")
-    hs = us.derivative()
+    hs = u.as_series(grid).derivative()
     for _ in range(tries):
         comb, log = kernel_sum_approximation(hs, eps_k, grid)
         n = len(comb.positives)
         Q = quotient_from_combination(u, PoissonCombination.make(comb._positive_set, (0.0,) * n, 0))
-        g_v = _verify_grid_size(max(grid, n, us.m))
-        sup_e, der_e = measure_c1_error(u, Q, g_v)
-        fit = C1ApproxResult(Q.numerator, n, Q, sup_e, der_e, dict(log, eps_kernel=eps_k, verify_grid=g_v))
+        sup_e, der_e = measure_c1_error(u, Q, log["verify_grid"])
+        fit = C1ApproxResult(Q.numerator, n, Q, sup_e, der_e, dict(log, eps_kernel=eps_k))
         if accept(sup_e, der_e):
             return fit, True
         eps_k *= shrink

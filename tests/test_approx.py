@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import circlemaps.approx as approx_module
 from circlemaps.approx import (
+    N_CAP,
+    R_FLOOR,
+    ApproximationBudgetError,
     CircleLift,
     PeriodicC1Function,
     PoissonCombination,
@@ -18,10 +22,12 @@ from circlemaps.approx import (
     periodic_antiderivative,
     quotient_from_combination,
     ring_defect,
+    _next_pow2,
+    _verify_grid_size,
 )
-from circlemaps.blaschke import identity_quotient
+from circlemaps.blaschke import identity_quotient, poisson_sum_signed_grid
 from circlemaps.certify import DIFFEOMORPHISM, certify_quotient, quadratic_quotient
-from circlemaps.fourier import TrigSeries, fourier_coefficients, grid_theta, support
+from circlemaps.fourier import TrigSeries, fourier_coefficients, grid_theta, sup_norm, support
 from circlemaps.gallery import rational_family
 
 
@@ -300,3 +306,124 @@ def test_non_finite_lifts_and_functions_are_rejected():
         approximate_homeomorphism(lambda th: np.where(th > 1.0, math.nan, th), 0.05)
     with pytest.raises(ValueError, match="finite"):
         approximate_c1(lambda th: np.full_like(th, math.nan), 0.1)
+
+
+def _min_n_pair_reference(hs, eps, grid, min_n):
+    """kernel_pair_approximation as it was with a min_n knob: the ring size doubles from max(64, min_n)."""
+    m_work = max(hs.m, grid)
+    k = np.abs(hs.freqs())
+    h_2m = hs.resample(2 * m_work)
+    for j in range(64):
+        r = 1.0 - 0.1 * 0.5**j
+        assert r <= 1.0 - R_FLOOR
+        ext_err = sup_norm(TrigSeries(hs.coef * r**k).resample(2 * m_work) - h_2m)
+        if ext_err < eps / 3.0:
+            break
+    g_anti = periodic_antiderivative(hs, m_work).series
+    n = max(64, min_n)
+    while n <= N_CAP:
+        if n * (1.0 - r) < 4.0 and n < N_CAP:
+            n *= 2
+            continue
+        phi = grid_theta(n)
+        comb = PoissonCombination.make(r * np.exp(1j * (phi - g_anti.resample(n) / n)), r * np.exp(1j * phi), 0)
+        g_pre = max(8192, _next_pow2(8.0 / (1.0 - r)))
+        if sup_norm(comb.evaluate_grid(g_pre) - hs.resample(g_pre)) < eps:
+            g_v = _verify_grid_size(m_work, n)
+            err = sup_norm(comb.evaluate_grid(g_v) - hs.resample(g_v))
+            if err < eps:
+                return comb, {"r": r, "n": n, "error": err, "extension_error": ext_err,
+                              "eps": eps, "verify_grid": g_v}
+        n *= 2
+    raise AssertionError("ring cap reached")
+
+
+def _restarting_kernel_sum_reference(h, eps, grid=4096):
+    """kernel_sum_approximation as it was: a too sparse negative ring restarts the pair search at twice its size."""
+    hs = TrigSeries.from_samples(h(grid_theta(grid)))
+    min_n = 64
+    while True:
+        comb, log = _min_n_pair_reference(hs, eps / 2.0, grid, min_n)
+        n_neg = len(comb.negatives)
+        defect = sup_norm(poisson_sum_signed_grid(comb._negative_set, (), max(8192, _next_pow2(4 * n_neg))) - n_neg)
+        if defect < eps / 2.0:
+            break
+        min_n = 2 * n_neg
+    out = PoissonCombination.make(comb._positive_set, (), n_neg)
+    g_v = log["verify_grid"]
+    err = sup_norm(out.evaluate_grid(g_v) - hs.resample(g_v))
+    return out, dict(log, ring_defect=defect, constant=n_neg, error=err, eps=eps), min_n > 64
+
+
+def _hex(x):
+    return None if x is None else [float(np.real(x)).hex(), float(np.imag(x)).hex()]
+
+
+@pytest.mark.parametrize("h, eps, restarts", [
+    pytest.param(lambda th: 0.3 * np.cos(th), 0.3, True, id="0.3cos-0.3"),
+    pytest.param(lambda th: 0.5 * np.sin(2 * th), 0.5, True, id="0.5sin2-0.5"),
+    pytest.param(lambda th: 0.1 * np.cos(th), 0.15, True, id="0.1cos-0.15"),
+    pytest.param(np.cos, 0.2, False, id="cos-0.2"),
+])
+def test_kernel_sum_resuming_the_ring_search_matches_the_restarting_reference(h, eps, restarts):
+    ref, ref_log, restarted = _restarting_kernel_sum_reference(h, eps)
+    assert restarted == restarts
+    comb, log = kernel_sum_approximation(h, eps)
+    assert [_hex(z) for z in comb.positives] == [_hex(z) for z in ref.positives]
+    assert comb.negatives == () and comb.constant == ref.constant
+    assert list(log) == list(ref_log)
+    assert {k: _hex(v) for k, v in log.items()} == {k: _hex(v) for k, v in ref_log.items()}
+
+
+def test_kernel_sum_takes_one_antiderivative_per_call(monkeypatch):
+    calls = []
+    antiderivative = approx_module.periodic_antiderivative
+
+    def spy(h, grid=4096):
+        calls.append(grid)
+        return antiderivative(h, grid)
+
+    monkeypatch.setattr(approx_module, "periodic_antiderivative", spy)
+    comb, log = kernel_sum_approximation(lambda th: 0.3 * np.cos(th), 0.3)
+    assert log["n"] == 128  # the 64-point ring was too sparse to stand alone
+    assert len(calls) == 1
+
+
+_NAN_FUNCTIONS = [
+    pytest.param(lambda th: np.where(th > 1, np.nan, np.sin(th)), id="nan-past-1"),
+    pytest.param(lambda th: np.full_like(th, np.nan), id="constant-nan"),
+]
+
+
+@pytest.mark.parametrize("h", _NAN_FUNCTIONS)
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda h: kernel_pair_approximation(h, 0.3), id="pair"),
+    pytest.param(lambda h: kernel_sum_approximation(h, 0.3), id="kernel_sum"),
+    pytest.param(periodic_antiderivative, id="antiderivative"),
+])
+def test_kernel_functions_reject_non_finite_functions(call, h):
+    with pytest.raises(ValueError, match="finite"):
+        call(h)
+
+
+def test_kernel_ring_split_stops_at_the_ring_cap():
+    with pytest.raises(ApproximationBudgetError, match="ring split"):
+        kernel_ring_split(0.9999999, 0.1)
+
+
+def test_series_functions_build_their_derivative_series_on_demand(monkeypatch):
+    derivative = TrigSeries.derivative
+    calls = []
+
+    def spy(self):
+        calls.append(self.m)
+        return derivative(self)
+
+    monkeypatch.setattr(TrigSeries, "derivative", spy)
+    f = PeriodicC1Function.from_series(TrigSeries.from_samples(np.sin(grid_theta(64))))
+    assert calls == []
+    assert f.derivative(0.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) == 1
+    calls.clear()
+    approximate_homeomorphism(quadratic_quotient(0.15), 0.08, "above")
+    assert len(calls) == 2  # the fitted derivative and its grid in measure_c1_error

@@ -23,7 +23,15 @@ The record holds, for the seed S (default 7):
 * continuous_arg: seeded quotients with points near the circle;
 * grid_paths: values, argument and derivative grids (a fixed stride of each),
   derivative_grid_error and certify_quotient on quotients that take the
-  direct path and on series whose order exceeds the grid.
+  direct path and on series whose order exceeds the grid;
+* approx: kernel_pair_approximation and kernel_sum_approximation on cos,
+  sin 3t + cos 7t / 2 and 0 at eps 0.3 and 0.1, kernel_sum_approximation
+  on three inputs whose first pair ring is too sparse to stand alone,
+  periodic_antiderivative, ring_defect and kernel_ring_split on seeded
+  rings of 4 to 64 points, approximate_homeomorphism of
+  quadratic_quotient(0.15) "above" at eps 0.08, and what the kernel
+  functions and periodic_antiderivative return or raise on a function with
+  NaN values and on cos t + 0.1, which has mean 0.1.
 
 Floats are written with float.hex, so two records are equal exactly when the
 outputs are bitwise equal. --compare prints each key that differs and, for
@@ -53,7 +61,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 import circlemaps as cm  # noqa: E402
-from circlemaps.approx import measure_c1_error  # noqa: E402
+from circlemaps.approx import ApproximationBudgetError, measure_c1_error, ring_defect  # noqa: E402
 from circlemaps.blaschke import (  # noqa: E402
     GridTooCoarseError,
     continuous_arg,
@@ -168,10 +176,13 @@ def sufficient_conditions(seed: int) -> list:
 
 
 def _outcome(f, *args):
-    """f(*args), or the name and message of the ValueError or GridTooCoarseError it raised."""
+    """f(*args), or the name and message of the error it raised.
+
+    The errors recorded are ValueError, GridTooCoarseError and ApproximationBudgetError.
+    """
     try:
         return f(*args)
-    except (ValueError, GridTooCoarseError) as e:
+    except (ValueError, GridTooCoarseError, ApproximationBudgetError) as e:
         return {"raised": type(e).__name__, "message": str(e)}
 
 
@@ -244,6 +255,43 @@ def grid_paths(seed: int) -> dict:
     return out
 
 
+def _kernels(comb, log) -> dict:
+    return {"positives": comb.positives, "negatives": comb.negatives, "constant": comb.constant, "log": log}
+
+
+def approx(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, TWO_PI, 32)
+    functions = {"cos": np.cos, "sin3+cos7/2": lambda th: np.sin(3 * th) + 0.5 * np.cos(7 * th),
+                 "zero": np.zeros_like}
+    out = {}
+    for name, h in functions.items():
+        for eps in (0.3, 0.1):
+            out[f"pair/{name}/{eps}"] = _kernels(*cm.kernel_pair_approximation(h, eps))
+            out[f"sum/{name}/{eps}"] = _kernels(*cm.kernel_sum_approximation(h, eps))
+        g = cm.periodic_antiderivative(h)
+        out[f"antiderivative/{name}"] = {"value": g.value(theta), "derivative": g.derivative(theta)}
+    restarts = {"0.3cos/0.3": (lambda th: 0.3 * np.cos(th), 0.3),  # the first pair ring is too sparse
+                "0.5sin2/0.5": (lambda th: 0.5 * np.sin(2 * th), 0.5),
+                "0.1cos/0.15": (lambda th: 0.1 * np.cos(th), 0.15)}
+    for name, (h, eps) in restarts.items():
+        out[f"sum/{name}"] = _kernels(*cm.kernel_sum_approximation(h, eps))
+    for n in (4, 8, 16, 32, 64):
+        w0 = complex(_disk_points(rng, 1, 0.9)[0])
+        rotations = w0 * np.exp(2j * np.pi * np.arange(1, n) / n)
+        out[f"ring/{n}"] = {"w0": w0, "defect": ring_defect(w0, rotations),
+                            "split": cm.kernel_ring_split(w0, 1e-6)[0]}
+    res = cm.approximate_homeomorphism(cm.quadratic_quotient(0.15), 0.08, "above")
+    out["homeomorphism"] = dict(_quotient(res.quotient), sup_error=res.sup_error,
+                                certification=res.certification.to_json_dict(), log=res.log)
+    for name, h in (("nan", lambda th: np.where(th > 1, np.nan, np.sin(th))),
+                    ("mean_0.1", lambda th: np.cos(th) + 0.1)):
+        out[f"outcome/pair/{name}"] = _outcome(lambda: _kernels(*cm.kernel_pair_approximation(h, 0.3)))
+        out[f"outcome/sum/{name}"] = _outcome(lambda: _kernels(*cm.kernel_sum_approximation(h, 0.3)))
+        out[f"outcome/antiderivative/{name}"] = _outcome(lambda: cm.periodic_antiderivative(h).value(theta))
+    return out
+
+
 def record(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         return encode({
@@ -256,6 +304,7 @@ def record(seed: int) -> dict:
             "sampled": sampled(seed),
             "continuous_arg": continuous_args(seed),
             "grid_paths": grid_paths(seed),
+            "approx": approx(seed),
         })
 
 
