@@ -169,8 +169,9 @@ def _verify_grid_size(*construction_grids: int) -> int:
 def _kernel_pairs(hs: TrigSeries, eps: float, grid: int):
     """Each verified pair approximation of hs within eps, by increasing ring size.
 
-    A negligible hs yields the empty combination alone. The antiderivative,
-    the radius search and the pre-check target serve every ring size.
+    A negligible hs yields the empty combination alone. The antiderivative
+    and the radius search serve every ring size, and each ring is checked on
+    its verification grid.
     """
     m_work = max(hs.m, grid)
     if sup_norm(hs.resample(m_work)) < min(eps * 1e-3, 1e-12):
@@ -194,8 +195,6 @@ def _kernel_pairs(hs: TrigSeries, eps: float, grid: int):
         if ext_err < eps / 3.0:
             break
 
-    g_pre = max(8192, _next_pow2(8.0 / (1.0 - r)))
-    h_pre = hs.resample(g_pre)
     for n in (1 << j for j in range(6, N_CAP.bit_length())):  # 64, 128, ..., N_CAP
         # rings too sparse to overlap (n(1-r) small) cannot approximate at all
         if n * (1.0 - r) < 4.0 and n < N_CAP:
@@ -205,13 +204,11 @@ def _kernel_pairs(hs: TrigSeries, eps: float, grid: int):
         zs = r * np.exp(1j * (phi + shifts))
         ws = r * np.exp(1j * phi)
         comb = PoissonCombination.make(zs, ws, 0)
-        pre = sup_norm(comb.evaluate_grid(g_pre) - h_pre)
-        if pre < eps:
-            g_v = _verify_grid_size(m_work, n)
-            err = sup_norm(comb.evaluate_grid(g_v) - hs.resample(g_v))
-            if err < eps:
-                yield comb, {"r": r, "n": n, "error": err, "extension_error": ext_err,
-                             "eps": eps, "verify_grid": g_v}
+        g_v = _verify_grid_size(m_work, n)
+        err = sup_norm(comb.evaluate_grid(g_v) - hs.resample(g_v))
+        if err < eps:
+            yield comb, {"r": r, "n": n, "error": err, "extension_error": ext_err,
+                         "eps": eps, "verify_grid": g_v}
     raise ApproximationBudgetError(
         f"ring size cap {N_CAP} reached with error still above eps = {eps:.3e}"
     )
@@ -249,8 +246,8 @@ def kernel_ring_split(w0, eps: float):
     Mb = (1.0 + R) / (1.0 - R)
     n = 4
     while True:
-        bound = TWO_PI * Mb * n / ((R / r) ** n - 1.0)
-        if bound < eps:
+        # bound < eps, with (R/r)^n in logs so that it cannot overflow
+        if n * math.log(R / r) > math.log1p(TWO_PI * Mb * n / eps):
             break
         n *= 2
         if n > N_CAP:
@@ -288,8 +285,6 @@ def kernel_sum_approximation(h, eps: float, grid: int = 4096):
     _check_eps(eps)
     hs = _periodic(h).as_series(grid)
     for comb, log in _kernel_pairs(hs, eps / 2.0, grid):
-        if not comb.negatives:
-            return comb, log
         n_neg = len(comb.negatives)
         g_d = max(8192, _next_pow2(4 * n_neg))
         defect = sup_norm(poisson_sum_signed_grid(comb._negative_set, (), g_d) - n_neg)
@@ -504,8 +499,8 @@ def mollify_lift(F: CircleLift, eta: float) -> CircleLift:
     The output is smooth with strictly positive derivative, and deviates from
     F by at most the modulus of continuity of F at eta.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     m = min(2**17, _next_pow2(max(4096, 64.0 * TWO_PI / eta)))
     psi = F.psi.values_on_grid(m)
     w = _bump_weights(eta, m)

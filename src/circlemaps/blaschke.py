@@ -51,10 +51,6 @@ class GridTooCoarseError(RuntimeError):
     """Adjacent samples moved by more than pi; the caller must refine."""
 
 
-class WindingInconsistencyError(RuntimeError):
-    """Integrated argument derivative is not near a multiple of 2*pi."""
-
-
 class _ZeroSet:
     """A validated zero array and what the series read from it, each taken once."""
 
@@ -450,29 +446,12 @@ def derivative_lipschitz_moment(Q: BlaschkeQuotient):
 # winding and continuous argument
 
 def winding(Q: BlaschkeQuotient) -> float:
-    """Total change of arg Q around the circle, a multiple of 2*pi.
+    """Total change of arg Q around the circle: 2*pi times the degree difference.
 
-    Integrates the argument derivative on a grid of 4096 points, doubled on
-    demand, and rounds to the nearest multiple of 2*pi, checking agreement
-    with the degree count to 1e-6 and refusing if the integral sits farther
-    than 0.1 from any multiple.
+    Every zero and pole lies in the open disk, so by the argument principle
+    the count is exact.
     """
-    expected = Q.degree_difference
-    g = 4096
-    while True:
-        integral = float(np.mean(quotient_derivative_grid(Q, g))) * TWO_PI
-        k = round(integral / TWO_PI)
-        if abs(integral - TWO_PI * expected) <= 1e-6 and k == expected:
-            return TWO_PI * k
-        if g >= GRID_CAP:
-            if abs(integral - TWO_PI * k) > 0.1:
-                raise WindingInconsistencyError(
-                    f"integrated winding {integral:.6f} not near a multiple of 2*pi"
-                )
-            raise WindingInconsistencyError(
-                f"integrated winding {integral / TWO_PI:.9f} turns, degree count {expected}"
-            )
-        g *= 2
+    return TWO_PI * Q.degree_difference
 
 
 def continuous_arg(Q: BlaschkeQuotient, grid_size: int):

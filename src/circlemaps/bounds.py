@@ -113,16 +113,15 @@ def curvature_bound(heinz: HeinzReport = None, horconvex: HorconvexReport = None
     """Upper bound for the Gaussian curvature of a minimal graph at the center.
 
     Takes the tighter of the coefficient bound 4/(|f^(-1)|^2 + |f^(1)|^2) and
-    the horizontally-convex bound 32 pi^2 / (delta^2 (1 - cos(delta/4L))^2);
-    the coefficient bound is never worse when both apply. Raises when neither
-    applies.
+    the horizontally-convex bound 8/bound^2 read from the report, which is
+    32 pi^2 / (delta^2 (1 - cos(delta/4L))^2); the coefficient bound is never
+    worse when both apply. Raises when neither applies.
     """
     candidates = []
     if heinz is not None and heinz.hall_lhs > 0:
         candidates.append(4.0 / heinz.hall_lhs)
-    if horconvex is not None and horconvex.is_horconvex and horconvex.delta > 0 and horconvex.L > 0:
-        c = 1.0 - math.cos(horconvex.delta / (4.0 * horconvex.L))
-        candidates.append(32.0 * math.pi**2 / (horconvex.delta**2 * c**2))
+    if horconvex is not None and horconvex.bound > 0:
+        candidates.append(8.0 / horconvex.bound**2)
     if not candidates:
         raise ValueError("no curvature bound available: zero coefficients and not horizontally convex")
     return min(candidates)

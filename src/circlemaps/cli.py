@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .approx import ApproximationBudgetError, approximate_homeomorphism, as_circle_lift
-from .blaschke import GridTooCoarseError, WindingInconsistencyError
+from .blaschke import GridTooCoarseError
 from .bounds import curvature_bound, heinz_report, horconvex_report
 from .certify import certify_quotient
 from .fourier import (_check_grid_size, enclosed_area, fourier_coefficients, parseval_defect,
@@ -174,8 +174,7 @@ def main(argv=None) -> int:
     except MapSpecError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ApproximationBudgetError, GridTooCoarseError, WindingInconsistencyError,
-            ValueError, FloatingPointError) as e:
+    except (ApproximationBudgetError, GridTooCoarseError, ValueError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

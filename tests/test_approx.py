@@ -25,7 +25,7 @@ from circlemaps.approx import (
     _next_pow2,
     _verify_grid_size,
 )
-from circlemaps.blaschke import identity_quotient, poisson_sum_signed_grid
+from circlemaps.blaschke import BlaschkeQuotient, identity_quotient, poisson_sum_signed_grid
 from circlemaps.certify import DIFFEOMORPHISM, certify_quotient, quadratic_quotient
 from circlemaps.fourier import TrigSeries, fourier_coefficients, grid_theta, sup_norm, support
 from circlemaps.gallery import rational_family
@@ -427,3 +427,121 @@ def test_series_functions_build_their_derivative_series_on_demand(monkeypatch):
     calls.clear()
     approximate_homeomorphism(quadratic_quotient(0.15), 0.08, "above")
     assert len(calls) == 2  # the fitted derivative and its grid in measure_c1_error
+
+
+def _pre_checking_pairs_reference(hs, eps, grid):
+    """The ring search as it was: each ring is pre-checked on a grid of max(8192, 8/(1 - r)) points first."""
+    m_work = max(hs.m, grid)
+    if sup_norm(hs.resample(m_work)) < min(eps * 1e-3, 1e-12):
+        yield PoissonCombination.make(), {"r": None, "n": 0, "error": 0.0, "eps": eps,
+                                          "verify_grid": _verify_grid_size(m_work)}
+        return
+    g_anti = periodic_antiderivative(hs, m_work).series
+    k = np.abs(hs.freqs())
+    h_2m = hs.resample(2 * m_work)
+    for j in range(64):
+        r = 1.0 - 0.1 * 0.5**j
+        assert r <= 1.0 - R_FLOOR
+        ext_err = sup_norm(TrigSeries(hs.coef * r**k).resample(2 * m_work) - h_2m)
+        if ext_err < eps / 3.0:
+            break
+    g_pre = max(8192, _next_pow2(8.0 / (1.0 - r)))
+    h_pre = hs.resample(g_pre)
+    for n in (1 << j for j in range(6, N_CAP.bit_length())):
+        if n * (1.0 - r) < 4.0 and n < N_CAP:
+            continue
+        phi = grid_theta(n)
+        comb = PoissonCombination.make(r * np.exp(1j * (phi - g_anti.resample(n) / n)), r * np.exp(1j * phi), 0)
+        if sup_norm(comb.evaluate_grid(g_pre) - h_pre) < eps:
+            g_v = _verify_grid_size(m_work, n)
+            err = sup_norm(comb.evaluate_grid(g_v) - hs.resample(g_v))
+            if err < eps:
+                yield comb, {"r": r, "n": n, "error": err, "extension_error": ext_err,
+                             "eps": eps, "verify_grid": g_v}
+    raise ApproximationBudgetError("ring cap reached")
+
+
+def _same_combination(comb, log, ref, ref_log):
+    assert [_hex(z) for z in comb.positives] == [_hex(z) for z in ref.positives]
+    assert [_hex(w) for w in comb.negatives] == [_hex(w) for w in ref.negatives]
+    assert comb.constant == ref.constant
+    assert list(log) == list(ref_log)
+    assert {k: _hex(v) for k, v in log.items()} == {k: _hex(v) for k, v in ref_log.items()}
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(np.cos, id="cos"),
+    pytest.param(lambda th: np.sin(3 * th) + 0.5 * np.cos(7 * th), id="sin3+cos7/2"),
+    pytest.param(lambda th: 0.3 * np.cos(th), id="0.3cos"),
+])
+@pytest.mark.parametrize("eps", [0.3, 0.1])
+def test_one_check_per_ring_matches_the_pre_checking_reference(monkeypatch, h, eps):
+    pair, pair_log = kernel_pair_approximation(h, eps)
+    total, total_log = kernel_sum_approximation(h, eps)
+    monkeypatch.setattr(approx_module, "_kernel_pairs", _pre_checking_pairs_reference)
+    _same_combination(pair, pair_log, *kernel_pair_approximation(h, eps))
+    _same_combination(total, total_log, *kernel_sum_approximation(h, eps))
+
+
+def test_one_check_per_ring_matches_the_pre_checking_reference_on_the_smooth_cli_target(monkeypatch):
+    # the Moebius map of the CLI smoke spec, approximated from above: its
+    # kernel sums approximate the mollified lift's derivative u'
+    sums = []
+    kernel_sum = approx_module.kernel_sum_approximation
+
+    def spy(h, eps, grid=4096):
+        sums.append((h, eps, grid, kernel_sum(h, eps, grid)))
+        return sums[-1][3]
+
+    lift = as_circle_lift(BlaschkeQuotient.make([-0.3], [], 1.0))
+    monkeypatch.setattr(approx_module, "kernel_sum_approximation", spy)
+    res = approximate_homeomorphism(lift, 0.05, "above")
+    assert res.certification.verdict == DIFFEOMORPHISM and sums
+    monkeypatch.setattr(approx_module, "_kernel_pairs", _pre_checking_pairs_reference)
+    for h, eps, grid, (comb, log) in sums:
+        _same_combination(comb, log, *kernel_sum(h, eps, grid))
+    ref = approximate_homeomorphism(lift, 0.05, "above")
+    assert [_hex(z) for z in res.quotient.denominator.zeros] == [_hex(z) for z in ref.quotient.denominator.zeros]
+    assert {k: _hex(v) for k, v in res.log.items()} == {k: _hex(v) for k, v in ref.log.items()}
+
+
+def test_kernel_sum_of_a_negligible_function_logs_like_every_sum():
+    comb, log = kernel_sum_approximation(np.zeros_like, 0.3)
+    assert comb.positives == () and comb.negatives == () and comb.constant == 0
+    assert log["eps"] == 0.3 and log["constant"] == 0 and log["ring_defect"] == 0.0
+    assert log["error"] == 0.0
+
+
+def _ring_split_size_mp(r, eps):
+    """The smallest doubling n with 2 pi M n / ((R/r)^n - 1) < eps, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        R = (1 + r) / 2
+        M = (1 + R) / (1 - R)
+        n = 4
+        while 2 * mpmath.pi * M * n / ((R / r) ** n - 1) >= eps:
+            n *= 2
+        return n
+
+
+@pytest.mark.parametrize("w0, n", [(0.5, 2048), (1e-10, 32)])
+def test_kernel_ring_split_does_not_overflow_at_a_tiny_eps(w0, n):
+    # the bound meets 1e-300 where (R/r)^n overflows a float; the true
+    # defect, about 2 n r^n, is far below it, and the grid measures 0.0
+    assert _ring_split_size_mp(w0, 1e-300) == n
+    m, rotations = kernel_ring_split(w0, 1e-300)
+    assert m == n and len(rotations) == n - 1
+
+
+def test_kernel_ring_split_at_a_tiny_eps_ends_in_a_budget_error():
+    # the bound holds at n = 16384, but the grid measures rounding above eps
+    assert _ring_split_size_mp(0.9, 1e-300) == 16384
+    with pytest.raises(ApproximationBudgetError, match="ring split"):
+        kernel_ring_split(0.9, 1e-300)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_mollify_lift_rejects_a_non_finite_or_non_positive_width(eta):
+    with pytest.raises(ValueError, match="finite"):
+        mollify_lift(as_circle_lift(identity_quotient()), eta)

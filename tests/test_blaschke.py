@@ -748,3 +748,32 @@ def test_arg_grid_matches_the_expression_reference_bitwise_on_both_paths(rng):
         paths.add(blaschke._plan(Q.numerator.zeros, Q.denominator.zeros, "arg")[3] > 0)
         assert _same_bits(quotient_arg_grid(Q, g), _arg_grid_reference(Q, g))
     assert paths == {True, False}
+
+
+@pytest.mark.parametrize("zeros, poles", [
+    pytest.param([1 - 1e-6], [], id="moebius-1e-6"),
+    pytest.param([1 - 1e-10], [], id="moebius-1e-10"),
+    pytest.param([0.5, 1 - 1e-9], [0.3], id="near-circle-quotient"),
+])
+def test_winding_is_the_degree_count_near_the_circle(zeros, poles):
+    assert winding(BlaschkeQuotient.make(zeros, poles)) == 2 * np.pi
+
+
+def test_winding_matches_the_integrated_argument_derivative(rng):
+    mpmath = pytest.importorskip("mpmath")
+    for n_zeros, n_poles in ((3, 1), (2, 2), (1, 3)):
+        r = 0.999 * np.sqrt(rng.uniform(0, 1, n_zeros + n_poles))
+        r[0] = 0.999
+        pts = r * np.exp(1j * rng.uniform(0, 2 * np.pi, n_zeros + n_poles))
+        Q = BlaschkeQuotient.make(pts[:n_zeros], pts[n_zeros:])
+        with mpmath.workdps(30):
+            zs = [mpmath.mpc(complex(z)) for z in pts]
+            signs = [1] * n_zeros + [-1] * n_poles
+
+            def dargs(t):
+                zeta = mpmath.expj(t)
+                return mpmath.fsum(s * (1 - abs(z) ** 2) / abs(zeta - z) ** 2 for s, z in zip(signs, zs))
+
+            cuts = sorted(float(np.angle(z)) % (2 * np.pi) for z in pts)
+            integral = mpmath.quad(dargs, [0, *cuts, 2 * mpmath.pi])
+        assert abs(float(integral) - winding(Q)) < 1e-12

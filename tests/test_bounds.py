@@ -156,3 +156,16 @@ def test_report_json_lists_the_fields_in_order():
     ref = {"is_horconvex": hor.is_horconvex, "delta": hor.delta, "L": hor.L,
            "L_estimator": hor.L_estimator, "bound": hor.bound, "lhs": hor.lhs}
     assert json.dumps(hor.to_json_dict()) == json.dumps(ref)
+
+
+def test_curvature_bound_reads_the_horconvex_report_bound():
+    mp = mobius_map(0.3)
+    heinz = heinz_report(mp)
+    flat = horconvex_report(mp, lipschitz=1e12)
+    assert flat.is_horconvex and flat.bound == 0.0
+    assert curvature_bound(heinz=heinz, horconvex=flat) == 4.0 / heinz.hall_lhs
+    with pytest.raises(ValueError, match="no curvature bound"):
+        curvature_bound(horconvex=flat)
+    hor = horconvex_report(mp)
+    c = 1.0 - math.cos(hor.delta / (4.0 * hor.L))
+    assert curvature_bound(horconvex=hor) == pytest.approx(32 * math.pi**2 / (hor.delta**2 * c**2), rel=1e-12)
