@@ -487,10 +487,7 @@ def _bump_weights(eta: float, m: int) -> np.ndarray:
     w = np.zeros(m)
     inside = np.abs(x) < 1.0
     w[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    total = w.sum()
-    if total == 0.0:
-        raise ValueError("mollifier width below grid resolution")
-    return w / total
+    return w / w.sum()  # never 0: s = 0 at index 0 has weight e^-1 for every eta > 0
 
 
 def mollify_lift(F: CircleLift, eta: float) -> CircleLift:
@@ -502,10 +499,9 @@ def mollify_lift(F: CircleLift, eta: float) -> CircleLift:
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
     m = min(2**17, _next_pow2(max(4096, 64.0 * TWO_PI / eta)))
-    psi = F.psi.values_on_grid(m)
-    w = _bump_weights(eta, m)
-    smooth = np.real(np.fft.ifft(np.fft.fft(psi) * np.fft.fft(w)))
-    return CircleLift.from_series(TrigSeries.from_samples(smooth))
+    # convolution theorem: the product of the spectra holds the coefficients; readers take real parts
+    spectrum = np.fft.fft(F.psi.values_on_grid(m)) * np.fft.fft(_bump_weights(eta, m))
+    return CircleLift.from_series(TrigSeries(spectrum / m))
 
 
 @dataclass

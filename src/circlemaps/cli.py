@@ -13,8 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .approx import ApproximationBudgetError, approximate_homeomorphism, as_circle_lift
-from .blaschke import GridTooCoarseError
+from .approx import ApproximationBudgetError, approximate_homeomorphism
 from .bounds import curvature_bound, heinz_report, horconvex_report
 from .certify import certify_quotient
 from .fourier import (_check_grid_size, enclosed_area, fourier_coefficients, parseval_defect,
@@ -84,15 +83,14 @@ def cmd_approximate(args) -> int:
         target = quotient_from_spec(spec)
     else:
         target = sampled_from_spec(spec, args.grid)
-    lift = as_circle_lift(target)
-    result = approximate_homeomorphism(lift, args.eps, args.direction, args.grid)
+    # approximate_homeomorphism makes the lift itself, after checks that args already passed
+    result = approximate_homeomorphism(target, args.eps, args.direction, args.grid)
     payload = {
         "quotient": spec_from_quotient(result.quotient),
         "direction": result.direction,
         "sup_error": result.sup_error,
         "certification": result.certification.to_json_dict(),
-        "log": {k: v for k, v in result.log.items()
-                if isinstance(v, (int, float, str)) or v is None},
+        "log": result.log,  # every library log value is an int, a float or None
     }
     _write_json(payload, args.out)
     return EXIT_OK
@@ -174,7 +172,8 @@ def main(argv=None) -> int:
     except MapSpecError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ApproximationBudgetError, GridTooCoarseError, ValueError, FloatingPointError) as e:
+    # no subcommand reaches GridTooCoarseError; FloatingPointError comes from a caller's np.seterr
+    except (ApproximationBudgetError, ValueError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -18,7 +18,6 @@ from .disk import TWO_PI, as_disk
 
 VALID_KINDS = ("general", "unimodular", "embedding-claimed")
 UNIMODULAR_TOL = 1e-9
-DEFAULT_GRID = 4096
 DEFAULT_SUPPORT_TOL = 1e-8
 
 

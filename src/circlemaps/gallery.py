@@ -20,7 +20,6 @@ import numpy as np
 from .disk import TWO_PI, as_disk
 from .blaschke import BlaschkeQuotient, quotient_values_grid
 from .fourier import SampledCircleMap, grid_theta
-from .certify import _embedding_check
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +52,10 @@ def star_embedding(p: StarParams, m: int = 4096) -> SampledCircleMap:
     """Piecewise-linear conjugate-symmetric embedding through the star vertices.
 
     Vertices sit at angles 0, 2 pi/3, pi, 4 pi/3; conjugate symmetry
-    f(conj zeta) = conj f(zeta) makes every Fourier coefficient real. Raises
-    when the four vertices do not bound a simple polygon.
+    f(conj zeta) = conj f(zeta) makes every Fourier coefficient real.
     """
     verts = p.vertices()
-    try:
-        simple = _embedding_check(verts).simple
-    except ValueError:  # a zero-length side
-        simple = False
-    if not simple:
-        raise ValueError("star parameters produce a self-intersecting quadrilateral")
+    # simple for every x, y > 0: upper sides in y >= 0, lower in y <= 0, meeting only at +-1
     vals = np.append(verts, verts[0])
     t = grid_theta(m)
     samples = np.interp(t, _STAR_KNOTS, vals.real) + 1j * np.interp(t, _STAR_KNOTS, vals.imag)

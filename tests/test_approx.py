@@ -545,3 +545,69 @@ def test_kernel_ring_split_at_a_tiny_eps_ends_in_a_budget_error():
 def test_mollify_lift_rejects_a_non_finite_or_non_positive_width(eta):
     with pytest.raises(ValueError, match="finite"):
         mollify_lift(as_circle_lift(identity_quotient()), eta)
+
+
+# ---------------------------------------------------------------------------
+# mollification through the spectra
+
+
+def _sample_domain_mollify_reference(F, eta):
+    """The circular convolution taken back to samples and analysed again."""
+    m = min(2**17, _next_pow2(max(4096, 64.0 * 2 * np.pi / eta)))
+    psi = F.psi.values_on_grid(m)
+    w = approx_module._bump_weights(eta, m)
+    smooth = np.real(np.fft.ifft(np.fft.fft(psi) * np.fft.fft(w)))
+    return CircleLift.from_series(TrigSeries.from_samples(smooth)), m
+
+
+@pytest.mark.parametrize("name, eta", [("criterion-3", 0.3), ("criterion-3", 0.15),
+                                       ("criterion-3", 0.075), ("smooth_cli", 0.3)])
+def test_mollify_lift_matches_the_sample_domain_reference(name, eta):
+    if name == "criterion-3":
+        F = CircleLift.from_breakpoints([(0, 0), (np.pi / 2, np.pi), (2 * np.pi, 2 * np.pi)])
+    else:
+        F = as_circle_lift(BlaschkeQuotient.make([-0.3], [], np.exp(0.7j)))
+    ref, m = _sample_domain_mollify_reference(F, eta)
+    smooth = mollify_lift(F, eta)
+    for g in (m, 2**14, 2 * m):
+        assert sup_norm(smooth.psi.values_on_grid(g) - ref.psi.values_on_grid(g)) <= 1e-12, g
+    theta = np.linspace(0.1, 6.2, 7)
+    assert sup_norm(smooth.value(theta) - ref.value(theta)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the retries of the C1 fit
+
+
+def _criterion_2_function():
+    return PeriodicC1Function.from_callable(
+        lambda th: 0.3 * np.sin(th) + 0.1 * np.cos(2 * th),
+        lambda th: 0.3 * np.cos(th) - 0.2 * np.sin(2 * th),
+    )
+
+
+def _fit_key(fit):
+    return (fit.n, fit.sup_error, fit.derivative_error, fit.log["eps_kernel"], fit.log["verify_grid"])
+
+
+def test_fit_c1_retries_at_the_shrunk_budget_after_a_refusal():
+    u = _criterion_2_function()
+    seen = []
+
+    def refuse_first(sup_e, der_e):
+        seen.append((sup_e, der_e))
+        return len(seen) > 1
+
+    fit, ok = approx_module._fit_c1(u, 0.05, 4096, 3, 0.5, refuse_first)
+    assert ok and len(seen) == 2 and fit.log["eps_kernel"] == 0.025
+    fresh, fresh_ok = approx_module._fit_c1(u, 0.025, 4096, 1, 0.5, lambda s, d: True)
+    assert fresh_ok and _fit_key(fit) == _fit_key(fresh)
+    assert seen[1] == (fit.sup_error, fit.derivative_error)
+
+
+def test_fit_c1_gives_up_with_its_last_fit_when_every_fit_is_refused():
+    u = _criterion_2_function()
+    fit, ok = approx_module._fit_c1(u, 0.05, 4096, 2, 0.5, lambda s, d: False)
+    assert not ok and fit.log["eps_kernel"] == 0.025
+    fresh, _ = approx_module._fit_c1(u, 0.025, 4096, 1, 0.5, lambda s, d: True)
+    assert _fit_key(fit) == _fit_key(fresh)

@@ -19,6 +19,7 @@ from circlemaps.blaschke import (
     quotient_values_grid,
     winding,
 )
+from circlemaps.blaschke import _plan, poisson_sum_signed_grid
 from circlemaps.disk import MoebiusDisk, poisson_kernel, pseudo_hyperbolic
 from conftest import random_disk_points
 
@@ -777,3 +778,16 @@ def test_winding_matches_the_integrated_argument_derivative(rng):
             cuts = sorted(float(np.angle(z)) % (2 * np.pi) for z in pts)
             integral = mpmath.quad(dargs, [0, *cuts, 2 * mpmath.pi])
         assert abs(float(integral) - winding(Q)) < 1e-12
+
+
+def test_signed_grid_sums_a_pole_directly_when_no_series_is_affordable():
+    # the pole's series order would pass the 2^22 cap, so the grid takes the
+    # direct path, which subtracts the pole's kernel sum from the zero's
+    Q = BlaschkeQuotient.make([0.5], [1 - 1e-7])
+    p, q = Q.numerator._zero_set, Q.denominator._zero_set
+    assert _plan(p, q, "derivative")[3] == 0
+    g = 256
+    out = poisson_sum_signed_grid(p, q, g)
+    ref = np.array([quotient_arg_derivative(Q, z) for z in np.exp(2j * np.pi * np.arange(g) / g)])
+    assert out[0] < -1e7  # the pole's kernel peak
+    assert np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12

@@ -538,3 +538,21 @@ def test_embedding_check_matches_all_pairs_on_crowded_and_gallery_curves():
 
 def test_embedding_check_crowded_mobius_samples():
     assert embedding_check_sampled(mobius_map(0.99, 2**14)).simple
+
+
+def test_embedding_check_doubles_its_cells_for_two_long_sides():
+    # 254 short sides on three quarters of the unit circle, closed through a
+    # far corner by two long diagonal sides: at the mean side length the
+    # sides cover more than 64 cells per side on average, so the cells double
+    arc = np.exp(1j * np.linspace(np.pi / 2, 2 * np.pi, 255))
+    v = np.append(arc, 1000 + 1000j)
+    assert len(v) >= 256
+    assert _assert_matches_reference(v).simple
+    v[[3, 200]] = v[[200, 3]]
+    assert not _assert_matches_reference(v).simple
+
+
+def test_homeo_check_sampled_monotone_with_the_wrong_winding():
+    squared = SampledCircleMap(np.exp(2j * grid_theta(64)), "unimodular")
+    res = homeo_check_sampled(squared)
+    assert res.verdict == "not-injective" and res.witness is None

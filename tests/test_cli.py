@@ -15,6 +15,7 @@ from circlemaps.mapspec import (
     spec_from_quotient,
 )
 from circlemaps.certify import quadratic_quotient
+from circlemaps.approx import approximate_homeomorphism
 
 
 def write_spec(tmp_path, name, payload):
@@ -246,3 +247,49 @@ def test_cli_bad_eps_or_tolerance_exits_2_and_writes_nothing(tmp_path, capsys, c
     assert "input error" in captured.err and flag in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mobius.json"]
+
+
+
+@pytest.mark.filterwarnings("ignore:spectral tail mass")  # the corner at x = 1e16 is sharp
+@pytest.mark.parametrize("cmd", ["fourier", "bounds", "figure"])
+def test_cli_accepts_a_star_with_a_large_x(tmp_path, cmd):
+    # the rounded segment test sees sides 1 and 3 of these star vertices cross
+    spec = write_spec(tmp_path, "star.json", {"type": "star", "x": 1e16, "y": 0.5})
+    assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 0
+
+
+def test_cli_approximate_log_is_the_library_log(tmp_path):
+    spec = {"type": "mobius", "a": [0.3, 0.0]}
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--spec", write_spec(tmp_path, "mobius.json", spec),
+                 "--eps", "0.05", "--direction", "above", "--out", str(out)]) == 0
+    log = approximate_homeomorphism(quotient_from_spec(spec), 0.05, "above").log
+    payload = json.loads(out.read_text())
+    assert list(payload["log"]) == sorted(log)
+    assert all(payload["log"][k] == v for k, v in log.items())
+
+
+def test_cli_mobius_spec_spectrum_and_verdict(tmp_path, capsys):
+    a = 0.3 + 0.2j
+    spec = write_spec(tmp_path, "mobius.json", {"type": "mobius", "a": [a.real, a.imag]})
+    out = tmp_path / "spectrum.csv"
+    assert main(["fourier", "--spec", spec, "--grid", "256", "--out", str(out)]) == 0
+    coef = {}
+    for row in out.read_text().strip().splitlines()[1:]:
+        n, re, im, _ = row.split(",")
+        coef[int(n)] = complex(float(re), float(im))
+    assert len(coef) == 255
+    for n, c in coef.items():
+        exact = a if n == 0 else (-a.conjugate()) ** (n - 1) * (1 - abs(a) ** 2) if n > 0 else 0.0
+        assert abs(c - exact) < 1e-12, n
+    capsys.readouterr()
+    assert main(["certify", "--spec", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Diffeomorphism"
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.0], [0.8, 0.8]])
+def test_cli_mobius_spec_outside_the_disk_exits_2(tmp_path, capsys, a):
+    spec = write_spec(tmp_path, "mobius.json", {"type": "mobius", "a": a})
+    for cmd in ("fourier", "certify"):
+        assert main([cmd, "--spec", spec, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
+        assert "a must lie strictly inside" in capsys.readouterr().err, cmd

@@ -186,3 +186,44 @@ def test_rational_family_is_exp_of_the_argument_grid(rng):
             vals = rational_family(Q, m).values
             assert vals.tobytes() == np.exp(1j * quotient_arg_grid(Q, m)).tobytes()
             assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-15
+
+
+def test_star_embedding_accepts_a_large_x():
+    # the rounded segment test of the embedding check sees sides 1 and 3 of
+    # these vertices cross; the quadrilateral is simple for every x, y > 0
+    p = StarParams(1e16, 0.5)
+    mp = star_embedding(p, 4096)
+    assert mp.kind == "embedding-claimed" and np.isfinite(mp.values).all()
+    assert (mp.values[0], mp.values[2048]) == (1.0, -1.0)  # the vertices at angles 0 and pi
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_box(a, b, c):
+    return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+
+
+def _closed_segments_meet(a, b, c, d):
+    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and _on_box(a, b, c)) or (o2 == 0 and _on_box(a, b, d))
+            or (o3 == 0 and _on_box(c, d, a)) or (o4 == 0 and _on_box(c, d, b)))
+
+
+def test_star_quadrilateral_is_simple_in_exact_arithmetic():
+    # Fraction orientations on the float vertices: no two opposite sides
+    # cross or touch, and no two adjacent sides are collinear, so adjacent
+    # sides share only their common vertex
+    from fractions import Fraction
+
+    rng = np.random.default_rng(17)
+    for x, y in 10.0 ** rng.uniform(-300, 300, (2000, 2)):
+        v = StarParams(float(x), float(y)).vertices()
+        P = [(Fraction(z.real), Fraction(z.imag)) for z in v]
+        sides = [(P[k], P[(k + 1) % 4]) for k in range(4)]
+        assert not _closed_segments_meet(*sides[0], *sides[2]), (x, y)
+        assert not _closed_segments_meet(*sides[1], *sides[3]), (x, y)
+        assert all(_orient(P[k - 1], P[k], P[(k + 1) % 4]) != 0 for k in range(4)), (x, y)
