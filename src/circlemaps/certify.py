@@ -279,129 +279,117 @@ class EmbeddingCheck:
 
 
 def embedding_check_sampled(mp) -> EmbeddingCheck:
-    """Exact segment-segment test on the closed polygon through the samples.
+    """Segment-segment test on the closed polygon through the samples.
 
-    Adjacent segments may share only their common endpoint. Candidate pairs
-    come from a uniform grid of square cells: each segment is entered in
-    every cell its closed bounding box covers. The cell side is the mean
-    segment length, doubled until the covered cells number at most 64 per
-    segment, so memory stays O(m) when a few segments are very long. The
-    verdict does not depend on the cell side: floor(x / h) is monotone in
-    floating point, so two segments whose closed bounding boxes overlap
-    always share a cell, and the segment test reports only such pairs (it
-    requires overlapping boxes, which rounded orientations of nearly
-    collinear segments alone do not ensure). So the verdict and the witness,
-    the lexicographically first offending pair (i, j), i < j, are those of
-    the same test run on all pairs.
+    Adjacent segments may share only their common endpoint. The orientation
+    signs are rounded floats, so the test is exact only where they are
+    (exact predicates are ROADMAP item 12). What is guaranteed: the verdict
+    and the witness, the lexicographically first offending pair (i, j),
+    i < j, are those of the same float test run on all pairs. The pairs
+    tested are those whose closed bounding boxes overlap, found in levels of
+    square cells (see _candidate_pairs): a crossing or touching pair always
+    has overlapping boxes, and the test requires them, since rounded
+    orientations of nearly collinear sides alone do not ensure it.
     """
     return _embedding_check(mp.values)
-
-
-_CELLS_PER_SEGMENT = 64
 
 
 def _embedding_check(values) -> EmbeddingCheck:
     """embedding_check_sampled on the closed polygon through complex vertices."""
     values = np.asarray(values)
-    P = np.column_stack([values.real, values.imag])
-    A = P
-    B = np.roll(P, -1, axis=0)
-    seg = B - A
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(lengths == 0.0):
-        raise ValueError("degenerate zero-length segment in sampled polygon")
+    x1, y1 = values.real, values.imag
+    x2, y2 = np.concatenate((x1[1:], x1[:1])), np.concatenate((y1[1:], y1[:1]))
+    i, j = _candidate_pairs(x1, y1, x2, y2)
+    a1, a2, b1, b2 = (x1[i], y1[i]), (x2[i], y2[i]), (x1[j], y1[j]), (x2[j], y2[j])
 
-    idx = _candidate_pairs(A, B, float(np.mean(lengths)))
-    if len(idx) == 0:
-        return EmbeddingCheck(True)
-    a1, a2 = A[idx[:, 0]], B[idx[:, 0]]
-    b1, b2 = A[idx[:, 1]], B[idx[:, 1]]
+    def orient(p, q, r):  # the cross product (q - p) x (r - p)
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
-    def cross(u, v):
-        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    def on_seg(p, q, r):  # r in the closed box of p and q
+        return ((np.minimum(p[0], q[0]) <= r[0]) & (r[0] <= np.maximum(p[0], q[0]))
+                & (np.minimum(p[1], q[1]) <= r[1]) & (r[1] <= np.maximum(p[1], q[1])))
 
-    d1 = cross(a2 - a1, b1 - a1)
-    d2 = cross(a2 - a1, b2 - a1)
-    d3 = cross(b2 - b1, a1 - b1)
-    d4 = cross(b2 - b1, a2 - b1)
-    # rounded orientations of nearly collinear sides can have opposite signs
-    # although the sides lie apart; sides that cross have overlapping boxes
-    boxes = np.all(
-        (np.minimum(a1, a2) <= np.maximum(b1, b2)) & (np.minimum(b1, b2) <= np.maximum(a1, a2)), axis=1
+    d1, d2, d3, d4 = orient(a1, a2, b1), orient(a1, a2, b2), orient(b1, b2, a1), orient(b1, b2, a2)
+    bad = (
+        ((d1 * d2 < 0) & (d3 * d4 < 0))
+        | ((d1 == 0) & on_seg(a1, a2, b1)) | ((d2 == 0) & on_seg(a1, a2, b2))
+        | ((d3 == 0) & on_seg(b1, b2, a1)) | ((d4 == 0) & on_seg(b1, b2, a2))
     )
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0) & boxes
-
-    def on_seg(p, q, r):
-        return (
-            (np.minimum(p[:, 0], q[:, 0]) <= r[:, 0])
-            & (r[:, 0] <= np.maximum(p[:, 0], q[:, 0]))
-            & (np.minimum(p[:, 1], q[:, 1]) <= r[:, 1])
-            & (r[:, 1] <= np.maximum(p[:, 1], q[:, 1]))
-        )
-
-    touch = (
-        ((d1 == 0) & on_seg(a1, a2, b1))
-        | ((d2 == 0) & on_seg(a1, a2, b2))
-        | ((d3 == 0) & on_seg(b1, b2, a1))
-        | ((d4 == 0) & on_seg(b1, b2, a2))
-    )
-    bad = proper | touch
     if np.any(bad):
         k = int(np.argmax(bad))
-        return EmbeddingCheck(False, (int(idx[k, 0]), int(idx[k, 1])))
+        return EmbeddingCheck(False, (int(i[k]), int(j[k])))
     return EmbeddingCheck(True)
 
 
-def _candidate_pairs(A, B, h: float) -> np.ndarray:
-    """Non-adjacent segment pairs (i, j), i < j, whose bounding boxes share a cell.
+def _candidate_pairs(x1, y1, x2, y2):
+    """Non-adjacent side pairs (i, j), i < j, whose closed bounding boxes overlap.
 
-    Rows come in lexicographic order. Cells have side h, doubled until the
-    covered cells number at most _CELLS_PER_SEGMENT per segment and every
-    (cell, segment) code fits in int64. Cells are counted from the lower-left
-    corner of the polygon; a closed polygon's perimeter, m times the mean
-    segment length, is at least twice its width and its height, so at the
-    mean length no cell index exceeds m / 2.
+    Side k runs from (x1[k], y1[k]) to (x2[k], y2[k]); the pairs come as two
+    index arrays in lexicographic order. Coordinates are counted from the
+    polygon's lower-left corner in units a little above the largest side
+    extent (the larger of its box's width and height). Level l has square
+    cells of side 16^-l. A side lives at the finest level whose cell side
+    is at least 1 + 2^-8 times its extent, read off the binary exponent, or
+    at the level cap if that is coarser; the cap keeps every cell index
+    below 2^k, so codes (cell, native flag, side) fit in int64. A side is
+    entered in the cell of its box's low corner and, per axis, in the next
+    cell where its high corner's cell differs: at its own level, as a
+    native, and at every coarser level where some side lives. In the sorted
+    codes of one level, each run holds one cell, natives first, and each
+    native pairs with every entry after it. Two sides whose boxes overlap
+    share a cell at the coarser side's level, where that side is native,
+    since the scaling and floor are monotone in floating point; exact box
+    comparisons then drop the pairs whose boxes do not overlap.
+
+    A side covers at most two cells per axis: its extent is below
+    1/(1 + 2^-8) of a cell, the shift and division round a coordinate by at
+    most 2^-52 of the polygon's scaled size, which is below 2^(k - 52) <=
+    2^-21 of a cell at any level used, and multiplying by 16^l moves no
+    floor.
     """
-    m = len(A)
-    lo = np.minimum(A, B)
-    origin = lo.min(axis=0)
-    lo = lo - origin
-    hi = np.maximum(A, B) - origin
-    while True:
-        c0 = np.floor(lo / h).astype(np.int64)
-        c1 = np.floor(hi / h).astype(np.int64)
-        span = c1 - c0 + 1
-        counts = span[:, 0] * span[:, 1]
-        total = int(counts.sum())
-        rows = int(c1[:, 1].max()) + 1
-        if total <= _CELLS_PER_SEGMENT * m and (int(c1[:, 0].max()) + 1) * rows * m < 2**63:
-            break
-        h *= 2.0
+    m = len(x1)
+    lox, hix = np.minimum(x1, x2), np.maximum(x1, x2)
+    loy, hiy = np.minimum(y1, y2), np.maximum(y1, y2)
+    extent = np.maximum(hix - lox, hiy - loy)
+    if np.any(extent == 0.0):
+        raise ValueError("degenerate zero-length segment in sampled polygon")
+    unit = float(extent.max()) * (1.0 + 2.0**-7)
+    ox, oy = float(lox.min()), float(loy.min())
+    scaled = [(lox - ox) / unit, (hix - ox) / unit, (loy - oy) / unit, (hiy - oy) / unit]
+    b = (m - 1).bit_length()  # bits of a side index
+    k = (62 - b) // 2  # bits of a cell index per axis
+    cap = (k - math.frexp(max(float(scaled[1].max()), float(scaled[3].max())))[1]) // 4
+    level = np.minimum(-np.frexp(extent * (1.0 + 2.0**-8) / unit)[1] // 4, cap)
+    low = int(level.min())
 
-    # one code cell * m + segment per (segment, covered cell); sorting the
-    # codes orders the entries by cell, then by segment
-    seg_id = np.repeat(np.arange(m), counts)
-    k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    ny = np.repeat(span[:, 1], counts)
-    cell = (np.repeat(c0[:, 0], counts) + k // ny) * rows + np.repeat(c0[:, 1], counts) + k % ny
-    code = np.sort(cell * m + seg_id)
-    cell, seg_id = np.divmod(code, m)
-
-    # entries d apart in one cell pair up; an entry whose cell differs from
-    # the one d places on differs from every one farther on
-    pairs = []
-    p = np.arange(total)
-    for d in range(1, total):
-        p = p[p < total - d]
-        p = p[cell[p] == cell[p + d]]
-        if len(p) == 0:
-            break
-        i = seg_id[p]
-        j = seg_id[p + d]
-        keep = (j - i != 1) & ~((i == 0) & (j == m - 1))  # adjacent segments share an endpoint by design
-        pairs.append(i[keep] * m + j[keep])
-    # codes i * m + j sort lexicographically; np.unique hashes and is
-    # several times slower at these sizes
-    codes = np.sort(np.concatenate(pairs or [np.zeros(0, dtype=np.int64)]))
+    codes = [np.zeros(0, dtype=np.int64)]
+    for lev in np.flatnonzero(np.bincount(level - low)) + low:
+        key = _cell_entries(scaled, level, lev, k, b)
+        cell = key >> (b + 1)
+        ends = cell[1:] != cell[:-1]  # entry p is the last of its run
+        first = np.flatnonzero(~ends & ((key[:-1] & (1 << b)) == 0))  # natives with a later entry
+        last = np.flatnonzero(np.append(ends, True))  # the last entry of each run
+        count = last[np.cumsum(ends)[first]] - first
+        p = np.repeat(first, count)
+        q = np.arange(len(p)) + np.repeat(first + 1 - (np.cumsum(count) - count), count)
+        i, j = key[p] & ((1 << b) - 1), key[q] & ((1 << b) - 1)
+        gap = np.abs(i - j)
+        keep = (gap != 1) & (gap != m - 1)  # adjacent sides share an endpoint by design
+        i, j = i[keep], j[keep]
+        keep = (lox[i] <= hix[j]) & (lox[j] <= hix[i]) & (loy[i] <= hiy[j]) & (loy[j] <= hiy[i])
+        i, j = i[keep], j[keep]
+        codes.append(np.minimum(i, j) * m + np.maximum(i, j))
+    # codes i * m + j sort lexicographically; a pair comes once per cell it shares
+    codes = np.sort(np.concatenate(codes))
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    return np.column_stack(np.divmod(codes, m))
+    return codes // m, codes % m
+
+
+def _cell_entries(scaled, level, lev, k, b):
+    """Sorted codes (x cell, y cell, not native, side) of one level's entries, k, k, 1 and b bits."""
+    sides = np.flatnonzero(level >= lev)
+    cx0, cx1, cy0, cy1 = ((s[sides] * 16.0**lev).astype(np.int64) for s in scaled)
+    key = (((cx0 << k) | cy0) << (b + 1)) | ((level[sides] != lev) << b) | sides
+    step_x, step_y = cx1 != cx0, cy1 != cy0
+    dx, dy = 1 << (k + b + 1), 1 << (b + 1)  # the next cell in x and in y
+    return np.sort(np.concatenate((key, key[step_x] + dx, key[step_y] + dy, key[step_x & step_y] + (dx + dy))))

@@ -1,6 +1,10 @@
 import cmath
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -550,6 +554,69 @@ def test_embedding_check_doubles_its_cells_for_two_long_sides():
     assert _assert_matches_reference(v).simple
     v[[3, 200]] = v[[200, 3]]
     assert not _assert_matches_reference(v).simple
+
+
+def _extents(v):
+    w = np.roll(v, -1)
+    return np.maximum(np.abs(w.real - v.real), np.abs(w.imag - v.imag))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_embedding_check_matches_all_pairs_on_multi_scale_polygons(seed):
+    # side extents over many decades put the sides at several cell levels:
+    # star polygons with radii 10^U(-10, 0), and random walks with steps
+    # 10^U(-8, 0) closed by a last side
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 300))
+    star = seed % 2 == 0
+    if star:
+        v = 10 ** rng.uniform(-10, 0, m) * np.exp(2j * np.pi * (np.arange(m) + rng.uniform(0, 0.9, m)) / m)
+    else:
+        v = np.cumsum(10 ** rng.uniform(-8, 0, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
+    assert _extents(v).max() > 16**2 * _extents(v).min()
+    assert _assert_matches_reference(v).simple or not star
+    i, j = rng.choice(m, 2, replace=False)
+    v[[i, j]] = v[[j, i]]
+    _assert_matches_reference(v)
+
+
+def test_embedding_check_matches_all_pairs_on_a_swapped_crowded_mobius_curve():
+    # sides near index 0 are a millionth as long as those near index 2048
+    v = mobius_map(0.999, 2**12).values.copy()
+    assert _extents(v).max() > 1e6 * _extents(v).min()
+    v[[2, 7]] = v[[7, 2]]
+    assert _assert_matches_reference(v).witness == (1, 7)
+
+
+def test_embedding_check_tests_at_most_m_pairs_on_a_crowded_mobius_curve(monkeypatch):
+    mp = mobius_map(0.999, 2**14)
+    counts, candidate_pairs = [], certify._candidate_pairs
+
+    def counted(*sides):
+        i, j = candidate_pairs(*sides)
+        counts.append(len(i))
+        return i, j
+
+    monkeypatch.setattr(certify, "_candidate_pairs", counted)
+    assert embedding_check_sampled(mp).simple
+    assert len(counts) == 1 and counts[0] <= mp.m
+
+
+def test_embedding_check_leaves_numpy_ma_unimported():
+    # the first np.unique or np.isin of a process imports numpy.ma (about 12 ms)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; import numpy as np; "
+            "from circlemaps import GapParams, SampledCircleMap, embedding_check_sampled, gap_embedding; "
+            "v = gap_embedding(GapParams(2)).values; w = v.copy(); w[[5, 40]] = w[[40, 5]]; "
+            "assert embedding_check_sampled(SampledCircleMap(v)).simple; "
+            "assert not embedding_check_sampled(SampledCircleMap(w)).simple; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_homeo_check_sampled_monotone_with_the_wrong_winding():

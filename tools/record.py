@@ -24,6 +24,13 @@ The record holds, for the seed S (default 7):
 * grid_paths: values, argument and derivative grids (a fixed stride of each),
   derivative_grid_error and certify_quotient on quotients that take the
   direct path and on series whose order exceeds the grid;
+* embedding: embedding_check_sampled's verdict and witness on curves whose
+  sides take several cell levels: the Moebius curves at 0.95 and 0.999
+  (2^12 points) and 0.99 (2^14), each also with two crowded samples
+  swapped; 20 seeded polygons of 64 to 256 vertices, star polygons with
+  radii 10^U(-10, 0) and random walks with steps 10^U(-8, 0), each also
+  with two vertices swapped; the figure eight; and the star at x = 1e15,
+  y = 0.5;
 * approx: kernel_pair_approximation and kernel_sum_approximation on cos,
   sin 3t + cos 7t / 2 and 0 at eps 0.3 and 0.1, kernel_sum_approximation
   on three inputs whose first pair ring is too sparse to stand alone,
@@ -255,6 +262,35 @@ def grid_paths(seed: int) -> dict:
     return out
 
 
+def _swapped(v, i, j):
+    w = v.copy()
+    w[[i, j]] = w[[j, i]]
+    return w
+
+
+def embedding(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    curves = {"figure_eight": np.cos(grid_theta(256)) + 0.5j * np.sin(2 * grid_theta(256)),
+              "star_1e15": cm.star_embedding(cm.StarParams(1e15, 0.5)).values}
+    for a, m in ((0.95, 2**12), (0.999, 2**12), (0.99, 2**14)):
+        v = cm.mobius_map(a, m).values
+        curves[f"mobius/{a}/{m}"] = v
+        curves[f"mobius/{a}/{m}/swapped"] = _swapped(v, 2, 7)  # the samples crowd near index 0
+    for k in range(20):
+        m = int(2 ** rng.integers(6, 9))
+        if k % 2:
+            v = np.cumsum(10 ** rng.uniform(-8, 0, m) * np.exp(1j * rng.uniform(0, TWO_PI, m)))
+        else:
+            v = 10 ** rng.uniform(-10, 0, m) * np.exp(1j * TWO_PI * (np.arange(m) + rng.uniform(0, 0.9, m)) / m)
+        curves[f"polygon/{k}"] = v
+        curves[f"polygon/{k}/swapped"] = _swapped(v, *rng.choice(m, 2, replace=False))
+    out = {}
+    for name, v in curves.items():
+        res = cm.embedding_check_sampled(cm.SampledCircleMap(v))
+        out[name] = {"simple": res.simple, "witness": res.witness}
+    return out
+
+
 def _kernels(comb, log) -> dict:
     return {"positives": comb.positives, "negatives": comb.negatives, "constant": comb.constant, "log": log}
 
@@ -304,6 +340,7 @@ def record(seed: int) -> dict:
             "sampled": sampled(seed),
             "continuous_arg": continuous_args(seed),
             "grid_paths": grid_paths(seed),
+            "embedding": embedding(seed),
             "approx": approx(seed),
         })
 
