@@ -104,13 +104,16 @@ class BlaschkeQuotient:
         return q
 
     def _check_no_common_zero(self):
-        zn = np.unique(self.numerator.zeros)
-        zd = np.unique(self.denominator.zeros)
+        # one stable sort by real, then imaginary part puts a numerator zero
+        # before an equal denominator zero; keep the first of each on its side
+        z = np.concatenate([self.numerator.zeros, self.denominator.zeros])
+        order = np.argsort(z, kind="stable")
+        z, side = z[order], order >= self.numerator.degree
+        keep = np.ones(len(z), dtype=bool)
+        keep[1:] = (z[1:] != z[:-1]) | (side[1:] != side[:-1])
+        z, side = z[keep], side[keep]
         # a pseudo-hyperbolic distance below 1e-12 forces |z - w| < 2e-12; pair
         # sorted entries d apart until no real parts d apart differ by < 5e-12
-        z = np.concatenate([zn, zd])
-        order = np.lexsort((z.imag, z.real))
-        z, side = z[order], order >= len(zn)
         hits = []
         p = np.arange(len(z))
         for d in range(1, len(z)):

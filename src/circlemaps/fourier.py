@@ -140,17 +140,9 @@ def onb_check(spec: FourierSpectrum, shifts: range) -> float:
     """
     c = spec.coefficients
     shifts = list(shifts)
-    worst = 0.0
-    for i, j in enumerate(shifts):
-        for k in shifts[i:]:
-            d = k - j
-            if d == 0:
-                ip = np.vdot(c, c)
-            else:
-                ip = np.vdot(c[d:], c[:-d])  # <c(.-j), c(.-k)> telescopes to lag d
-            target = 1.0 if d == 0 else 0.0
-            worst = max(worst, abs(ip - target))
-    return worst
+    # <c(.-j), c(.-k)> telescopes to lag k - j, and |<a, b>| = |<b, a>|
+    lags = {abs(k - j) for j in shifts for k in shifts}
+    return max((abs(np.vdot(c[d:], c[:-d or None]) - (d == 0)) for d in lags), default=0.0)
 
 
 def onb_check_map(mp: SampledCircleMap, shifts: range) -> float:

@@ -20,7 +20,7 @@ from circlemaps.blaschke import (
     winding,
 )
 from circlemaps.blaschke import _plan, poisson_sum_signed_grid
-from circlemaps.disk import MoebiusDisk, poisson_kernel, pseudo_hyperbolic
+from circlemaps.disk import MoebiusDisk, disk_array, poisson_kernel, pseudo_distances, pseudo_hyperbolic
 from conftest import random_disk_points
 
 
@@ -129,6 +129,70 @@ def test_common_zero_check_separates_prefilter_from_pseudo_hyperbolic_test(rng):
     with pytest.raises(ValueError, match="share a zero"):
         BlaschkeQuotient.make(zeros, [z + 1e-13], 1.0)
     BlaschkeQuotient.make(zeros, [z + 4e-12j], 1.0)
+
+
+def _common_zero_reference(num, den):
+    """The check as it sorted with two np.unique calls and a lexsort: its message, or None."""
+    zn, zd = np.unique(disk_array(num)), np.unique(disk_array(den))
+    z = np.concatenate([zn, zd])
+    order = np.lexsort((z.imag, z.real))
+    z, side = z[order], order >= len(zn)
+    hits = []
+    p = np.arange(len(z))
+    for d in range(1, len(z)):
+        p = p[p < len(z) - d]
+        p = p[z[p + d].real - z[p].real < 5e-12]
+        if len(p) == 0:
+            break
+        k = p[(side[p] != side[p + d]) & (np.abs(z[p] - z[p + d]) < 5e-12)]
+        hits.extend(k[pseudo_distances(z[k], z[k + d]) < 1e-12])
+    return f"numerator and denominator share a zero near {z[min(hits)]}" if hits else None
+
+
+def _common_zero_case(rng, family):
+    """Seeded numerator and denominator zeros; family 0-7 picks how the two sides meet."""
+    n, m = (int(k) for k in rng.integers(0, 9, 2))
+    num, den = random_disk_points(rng, n, 0.9), random_disk_points(rng, m, 0.9)
+    if family == 1 and n:  # a pole 1e-14 to 3e-11 from a zero
+        step = 10 ** rng.uniform(-14, np.log10(3e-11)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        den = np.append(den, num[rng.integers(n)] + step)
+    elif family == 2:  # values repeated on each side and across the sides
+        pool = random_disk_points(rng, int(rng.integers(1, 5)), 0.9)
+        num, den = rng.choice(pool, n), rng.choice(pool, m)
+    elif family == 3:  # one real part for all zeros, some imaginary parts shared or 1e-13 apart
+        x, ys = rng.uniform(-0.6, 0.6), rng.uniform(-0.7, 0.7, n)
+        near = rng.choice(ys, min(n, 2)) + rng.choice([0.0, 1e-13], min(n, 2))
+        num, den = x + 1j * ys, x + 1j * np.append(rng.uniform(-0.7, 0.7, m), near)
+    elif family == 4:  # zeros at the origin with either sign on each part
+        signed = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        num = np.append(num, rng.choice(signed, int(rng.integers(0, 3))))
+        den = np.append(den, rng.choice(signed, int(rng.integers(0, 3))))
+    elif family == 5:  # radius 0.999999, poles at the zeros' angles or 1e-13 to 1e-9 off them
+        phi = rng.uniform(0, 2 * np.pi, n)
+        shift = rng.choice([0.0, 1.0], min(n, 3)) * 10 ** rng.uniform(-13, -9, min(n, 3))
+        num = 0.999999 * np.exp(1j * phi)
+        den = 0.999999 * np.exp(1j * np.append(rng.uniform(0, 2 * np.pi, m), phi[:3] + shift))
+    elif family == 6:  # one cluster of radius 1e-12 on both sides
+        c = random_disk_points(rng, 1, 0.9)[0]
+        num, den = c + random_disk_points(rng, n, 1e-12), c + random_disk_points(rng, m, 1e-12)
+    elif family == 7:  # one side empty, or both
+        num, den = [(num, []), ([], den), ([], [])][int(rng.integers(3))]
+    return num, den
+
+
+def test_common_zero_check_matches_the_unique_and_lexsort_reference(rng):
+    raised = 0
+    for i in range(2400):
+        num, den = _common_zero_case(rng, i % 8)
+        want = _common_zero_reference(num, den)
+        try:
+            BlaschkeQuotient.make(num, den)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == want, (i, num, den)
+        raised += want is not None
+    assert 400 < raised < 2000
 
 
 def test_winding_degrees(rng):

@@ -234,6 +234,37 @@ def test_runtime_imports_only_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_quotient_pipelines_leave_numpy_ma_unimported(tmp_path):
+    # the first np.unique of a process imports numpy.ma, about 12 ms on numpy 2.4
+    certify_spec = write_spec(tmp_path, "good.json",
+                              {"type": "blaschke_quotient", "zeros": [[0, 0], [0, 0]],
+                               "poles": [[0.3, 0]], "sigma": 0.0})
+    rotation_spec = write_spec(tmp_path, "rot.json",
+                               {"type": "blaschke_quotient", "zeros": [[0.0, 0.0]],
+                                "poles": [], "sigma": 0.9})
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; import numpy as np; "
+            "from circlemaps import (BlaschkeQuotient, CircleLift, PeriodicC1Function, approximate_c1, "
+            "approximate_homeomorphism, certify_quotient, continuous_arg); "
+            "from circlemaps.cli import main; "
+            "Q = BlaschkeQuotient.make([0.0, 0.0], [0.3]); "
+            "assert certify_quotient(Q).verdict == 'Diffeomorphism'; "
+            "continuous_arg(Q, 64); "
+            "approximate_c1(PeriodicC1Function.from_callable(lambda t: 0.2 * np.sin(t), "
+            "lambda t: 0.2 * np.cos(t)), 0.2); "
+            "approximate_homeomorphism(CircleLift.from_breakpoints([(0, 0.4), (2 * np.pi, 0.4 + 2 * np.pi)]), "
+            "0.05, 'below'); "
+            "assert main(['certify', '--spec', sys.argv[1]]) == 0; "
+            "assert main(['approximate', '--spec', sys.argv[2], '--eps', '0.05']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, certify_spec, rotation_spec], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"  # after the two commands' JSON
+
+
 @pytest.mark.parametrize("cmd,flag,value", [
     ("approximate", "--eps", "nan"), ("approximate", "--eps", "0"), ("approximate", "--eps", "-1"),
     ("approximate", "--eps", "inf"), ("fourier", "--tolerance", "nan"),

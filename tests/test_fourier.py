@@ -12,6 +12,7 @@ from circlemaps.fourier import (
     fourier_coefficients,
     grid_theta,
     harmonic_extension,
+    onb_check,
     onb_check_map,
     parseval_defect,
     spectrum_csv_rows,
@@ -225,3 +226,13 @@ def test_coefficient_window_matches_the_modular_gather_bitwise(m):
         ns = np.arange(-(m // 2 - 1), m // 2)
         assert np.array_equal(spec.ns, ns)
         assert spec.coefficients.tobytes() == F[ns % m].tobytes()
+
+
+def test_onb_check_reads_the_same_lags_for_descending_shifts():
+    # f_hat(1) = f_hat(2) = 1/sqrt(2): the shifts by 0 and 1 overlap in one coefficient
+    zeta = np.exp(1j * grid_theta(64))
+    spec = fourier_coefficients(SampledCircleMap((zeta + zeta**2) / np.sqrt(2)))
+    assert onb_check(spec, range(0, 2)) == pytest.approx(0.5, abs=1e-15)
+    assert onb_check(spec, range(1, -1, -1)) == onb_check(spec, range(0, 2))
+    assert onb_check(spec, range(3, -4, -1)) == onb_check(spec, range(-3, 4))
+    assert onb_check(spec, range(0)) == 0.0

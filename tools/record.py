@@ -31,6 +31,14 @@ The record holds, for the seed S (default 7):
   radii 10^U(-10, 0) and random walks with steps 10^U(-8, 0), each also
   with two vertices swapped; the figure eight; and the star at x = 1e15,
   y = 0.5;
+* common_zero: what BlaschkeQuotient.make returns ("ok") or the message
+  it raises on 304 seeded zero and pole sets, 38 from each of eight
+  families: random points; a pole 1e-14 to 3e-11 from a zero; values
+  repeated on each side and across the sides; one real part for all
+  points, some imaginary parts shared or 1e-13 apart; zeros at the origin
+  with signed zero parts; points at radius 0.999999 with poles at or
+  1e-13 to 1e-9 off the zeros' angles; one cluster of radius 1e-12 on both
+  sides; and one or both sides empty;
 * approx: kernel_pair_approximation and kernel_sum_approximation on cos,
   sin 3t + cos 7t / 2 and 0 at eps 0.3 and 0.1, kernel_sum_approximation
   on three inputs whose first pair ring is too sparse to stand alone,
@@ -291,6 +299,45 @@ def embedding(seed: int) -> dict:
     return out
 
 
+def _zeros_and_poles(rng, family):
+    n, m = (int(k) for k in rng.integers(0, 9, 2))
+    num, den = _disk_points(rng, n, 0.9), _disk_points(rng, m, 0.9)
+    if family == 1 and n:
+        den = np.append(den, num[rng.integers(n)] + 10 ** rng.uniform(-14, math.log10(3e-11))
+                        * cmath.exp(1j * rng.uniform(0.0, TWO_PI)))
+    elif family == 2:
+        pool = _disk_points(rng, int(rng.integers(1, 5)), 0.9)
+        num, den = rng.choice(pool, n), rng.choice(pool, m)
+    elif family == 3:
+        x, ys = rng.uniform(-0.6, 0.6), rng.uniform(-0.7, 0.7, n)
+        near = rng.choice(ys, min(n, 2)) + rng.choice([0.0, 1e-13], min(n, 2))
+        num, den = x + 1j * ys, x + 1j * np.append(rng.uniform(-0.7, 0.7, m), near)
+    elif family == 4:
+        signed = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        num = np.append(num, rng.choice(signed, int(rng.integers(0, 3))))
+        den = np.append(den, rng.choice(signed, int(rng.integers(0, 3))))
+    elif family == 5:
+        phi = rng.uniform(0.0, TWO_PI, n)
+        shift = rng.choice([0.0, 1.0], min(n, 3)) * 10 ** rng.uniform(-13, -9, min(n, 3))
+        num = 0.999999 * np.exp(1j * phi)
+        den = 0.999999 * np.exp(1j * np.append(rng.uniform(0.0, TWO_PI, m), phi[:3] + shift))
+    elif family == 6:
+        c = _disk_points(rng, 1, 0.9)[0]
+        num, den = c + _disk_points(rng, n, 1e-12), c + _disk_points(rng, m, 1e-12)
+    elif family == 7:
+        num, den = [(num, []), ([], den), ([], [])][int(rng.integers(3))]
+    return num, den
+
+
+def common_zero(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(304):
+        res = _outcome(cm.BlaschkeQuotient.make, *_zeros_and_poles(rng, i % 8))
+        out.append(res["message"] if isinstance(res, dict) else "ok")
+    return out
+
+
 def _kernels(comb, log) -> dict:
     return {"positives": comb.positives, "negatives": comb.negatives, "constant": comb.constant, "log": log}
 
@@ -341,6 +388,7 @@ def record(seed: int) -> dict:
             "continuous_arg": continuous_args(seed),
             "grid_paths": grid_paths(seed),
             "embedding": embedding(seed),
+            "common_zero": common_zero(seed),
             "approx": approx(seed),
         })
 
